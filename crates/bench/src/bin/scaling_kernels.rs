@@ -3,7 +3,9 @@
 //!
 //! Measures `dot`/`norm2`/`spmv` — plus the fused solver kernels
 //! `spmv_dot`, `axpy2_norm2` and `residual_norm2` that the Krylov inner
-//! loops now run on — on a large 3-D Poisson problem, SZ
+//! loops now run on — and the paper's 16-block Jacobi ILU(0)
+//! preconditioner (`ilu0_factor`: block extraction + factorisation;
+//! `bjacobi_apply`: one `z = M⁻¹ r`) on a large 3-D Poisson problem, SZ
 //! compression *and decompression* of a ≥1M-element smooth buffer, ZFP
 //! compression of the same buffer, single-stream Huffman decoding of
 //! SZ-like quantization codes, the order-2 temporal delta codec of the
@@ -38,6 +40,7 @@ use lcr_bench::{fmt, perfgate, print_json, print_table};
 use lcr_ckpt::disk::crc32;
 use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore};
 use lcr_compress::{delta, huffman, ErrorBound, LossyCompressor, SzCompressor, ZfpCompressor};
+use lcr_solvers::{BlockJacobiPreconditioner, Preconditioner};
 use lcr_sparse::kernels;
 use lcr_sparse::poisson::poisson3d;
 use lcr_sparse::vector::{dot, norm2};
@@ -285,6 +288,30 @@ fn main() {
             "residual_norm2",
             matrix.nnz(),
             bits_fingerprint(y.as_slice()) ^ resid_rr.to_bits(),
+            secs,
+        ));
+
+        // Block-Jacobi ILU(0) with the paper workload's 16 blocks: one pool
+        // task per block in both the factorisation and the apply.  The
+        // factorisation row is fingerprinted through an apply of the factors.
+        let mut bjacobi = None;
+        let secs = time_median(reps, || {
+            bjacobi = Some(BlockJacobiPreconditioner::new(&matrix, 16).expect("ILU(0) of Poisson"));
+        });
+        let bjacobi = bjacobi.expect("factorised at least once");
+        bjacobi.apply_into(&x, &mut y);
+        measured.push((
+            "ilu0_factor",
+            matrix.nnz(),
+            bits_fingerprint(y.as_slice()),
+            secs,
+        ));
+
+        let secs = time_median(reps, || bjacobi.apply_into(&x, &mut y));
+        measured.push((
+            "bjacobi_apply",
+            matrix.nnz(),
+            bits_fingerprint(y.as_slice()),
             secs,
         ));
 

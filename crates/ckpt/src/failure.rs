@@ -87,12 +87,16 @@ impl FailureInjector {
     }
 
     /// Returns `true` — and schedules the following failure — if a failure
-    /// strikes within the interval `(from, to]` of simulated time.
+    /// strikes within the interval `(from, to]` of simulated time, or
+    /// struck before `from` in a stretch the caller did not poll (e.g. a
+    /// recovery) and is still undelivered.  An overdue failure is delivered
+    /// at the next poll, one per call, so none is lost and the schedule
+    /// keeps advancing.
     ///
     /// The caller is expected to poll intervals in non-decreasing order.
     pub fn fails_during(&mut self, from: f64, to: f64) -> bool {
         debug_assert!(to >= from, "interval must be non-decreasing");
-        if self.next_failure > from && self.next_failure <= to {
+        if self.next_failure <= to {
             self.count += 1;
             let gap = Self::sample_exponential(&mut self.rng, self.mtti_seconds);
             self.next_failure += gap.max(f64::MIN_POSITIVE);
@@ -158,6 +162,21 @@ mod tests {
         assert_eq!(inj.failures_so_far(), 1);
         // Next failure is strictly later.
         assert!(inj.next_failure_time() > first);
+    }
+
+    #[test]
+    fn failure_in_an_unpolled_gap_is_delivered_at_the_next_poll() {
+        let mut inj = FailureInjector::new(100.0, 1);
+        let first = inj.next_failure_time();
+        // The caller skips the stretch that contains the failure (as the
+        // runner does over a recovery) and resumes polling after it.
+        assert!(inj.fails_during(first + 1.0, first + 2.0));
+        assert_eq!(inj.failures_so_far(), 1);
+        assert!(inj.next_failure_time() > first);
+        // The schedule keeps advancing: the next failure still strikes.
+        let second = inj.next_failure_time();
+        assert!(inj.fails_during(first + 2.0, second.max(first + 2.0)));
+        assert_eq!(inj.failures_so_far(), 2);
     }
 
     #[test]

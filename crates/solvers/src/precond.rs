@@ -5,6 +5,15 @@
 //! Jacobi (diagonal) preconditioner for the KKT240/GMRES experiment of
 //! Figure 3.  This module implements those plus SSOR, all behind the
 //! [`Preconditioner`] trait (apply `z = M⁻¹ r`).
+//!
+//! As on the paper's ranks, the block-Jacobi blocks are independent: the
+//! blocks are extracted on the calling thread, then factorised and applied
+//! on the pool, one task per block, each writing only its own slice of the
+//! factors or of `z`.  Nothing is combined across blocks, so the output is
+//! bit-identical at any thread count.  Inside a block, ILU(0) keeps each
+//! row's diagonal position, so the factorisation merge-walks the sorted
+//! rows and the triangular sweeps run over the ranges on either side of the
+//! diagonal.
 
 use lcr_sparse::{CsrMatrix, SparseError, Vector};
 use rayon::prelude::*;
@@ -139,6 +148,9 @@ pub struct Ilu0Preconditioner {
     /// Combined LU factors stored in the sparsity pattern of `A`
     /// (strict lower part = L without its unit diagonal, upper part = U).
     factors: CsrMatrix,
+    /// Position of each row's diagonal entry in `factors`: row `i` keeps
+    /// `L` in `indptr[i]..diag[i]` and `U` in `diag[i]..indptr[i + 1]`.
+    diag: Vec<usize>,
 }
 
 impl Ilu0Preconditioner {
@@ -147,43 +159,65 @@ impl Ilu0Preconditioner {
     /// # Errors
     /// Returns [`SparseError::ZeroDiagonal`] if a pivot becomes zero.
     pub fn new(a: &CsrMatrix) -> Result<Self, SparseError> {
-        a.require_nonzero_diagonal()?;
-        let n = a.nrows();
-        let mut factors = a.clone();
-        // IKJ-variant ILU(0) restricted to the original pattern.
-        for i in 1..n {
+        let mut ilu = Self::unfactored(a.clone())?;
+        ilu.factorise()?;
+        Ok(ilu)
+    }
+
+    /// Takes `a` as the storage of its own factors and records each row's
+    /// diagonal position — the only allocation of the factorisation, kept
+    /// out of [`Self::factorise`] so the caller chooses the thread that
+    /// owns the memory.
+    fn unfactored(a: CsrMatrix) -> Result<Self, SparseError> {
+        let diag = (0..a.nrows())
+            .map(|i| match a.row_indices(i).iter().position(|&j| j == i) {
+                Some(p) if a.row_values(i)[p] != 0.0 => Ok(a.indptr()[i] + p),
+                _ => Err(SparseError::ZeroDiagonal(i)),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Ilu0Preconditioner { factors: a, diag })
+    }
+
+    /// IKJ-variant ILU(0) restricted to the original pattern, in place and
+    /// allocation-free.
+    fn factorise(&mut self) -> Result<(), SparseError> {
+        let diag = &self.diag;
+        let (indptr, indices, values) = self.factors.pattern_and_values_mut();
+        for i in 1..diag.len() {
+            let row_end = indptr[i + 1];
             // For each k < i present in row i:
-            let row_start = factors.indptr()[i];
-            let row_end = factors.indptr()[i + 1];
-            for kk in row_start..row_end {
-                let k = factors.indices()[kk];
-                if k >= i {
-                    break;
-                }
-                let pivot = factors.get(k, k);
+            for kk in indptr[i]..diag[i] {
+                let k = indices[kk];
+                let pivot = values[diag[k]];
                 if pivot == 0.0 {
                     return Err(SparseError::ZeroDiagonal(k));
                 }
-                let lik = factors.values()[kk] / pivot;
-                factors.values_mut()[kk] = lik;
-                // Update remaining entries of row i with row k of U, only
-                // where row i already has entries (zero fill-in).
+                let lik = values[kk] / pivot;
+                values[kk] = lik;
+                // Update the rest of row i with row k of U (final, since
+                // k < i), only where row i already has entries (zero
+                // fill-in).  Both rows are column-sorted: merge-walk them.
+                let (mut p, k_end) = (diag[k] + 1, indptr[k + 1]);
                 for jj in (kk + 1)..row_end {
-                    let j = factors.indices()[jj];
-                    let ukj = factors.get(k, j);
-                    if ukj != 0.0 {
-                        factors.values_mut()[jj] -= lik * ukj;
+                    let j = indices[jj];
+                    while p < k_end && indices[p] < j {
+                        p += 1;
+                    }
+                    if p == k_end {
+                        break;
+                    }
+                    let ukj = values[p];
+                    if indices[p] == j && ukj != 0.0 {
+                        values[jj] -= lik * ukj;
                     }
                 }
             }
         }
         // Final pivots must be non-zero for the triangular solves.
-        for i in 0..n {
-            if factors.get(i, i) == 0.0 {
-                return Err(SparseError::ZeroDiagonal(i));
-            }
+        match diag.iter().position(|&d| values[d] == 0.0) {
+            Some(i) => Err(SparseError::ZeroDiagonal(i)),
+            None => Ok(()),
         }
-        Ok(Ilu0Preconditioner { factors })
     }
 
     /// Solves `L U z = r` with forward/backward substitution, writing into
@@ -191,31 +225,27 @@ impl Ilu0Preconditioner {
     /// forward result `y` lives in `z` and the backward solve runs in
     /// place, so no temporaries are allocated.
     fn solve_into(&self, r: &[f64], z: &mut [f64]) {
-        let n = self.factors.nrows();
+        let (indptr, indices, values) = (
+            self.factors.indptr(),
+            self.factors.indices(),
+            self.factors.values(),
+        );
         // Forward solve L y = r (unit diagonal), y stored in z.
-        for i in 0..n {
+        for (i, &d) in self.diag.iter().enumerate() {
             let mut sum = r[i];
-            for (pos, &j) in self.factors.row_indices(i).iter().enumerate() {
-                if j >= i {
-                    break;
-                }
-                sum -= self.factors.row_values(i)[pos] * z[j];
+            for (&v, &j) in values[indptr[i]..d].iter().zip(&indices[indptr[i]..d]) {
+                sum -= v * z[j];
             }
             z[i] = sum;
         }
         // Backward solve U z = y, in place (z[j] for j > i is final).
-        for i in (0..n).rev() {
+        for (i, &d) in self.diag.iter().enumerate().rev() {
+            let upper = d + 1..indptr[i + 1];
             let mut sum = z[i];
-            let mut diag = 1.0;
-            for (pos, &j) in self.factors.row_indices(i).iter().enumerate() {
-                let v = self.factors.row_values(i)[pos];
-                if j > i {
-                    sum -= v * z[j];
-                } else if j == i {
-                    diag = v;
-                }
+            for (&v, &j) in values[upper.clone()].iter().zip(&indices[upper]) {
+                sum -= v * z[j];
             }
-            z[i] = sum / diag;
+            z[i] = sum / values[d];
         }
     }
 }
@@ -355,9 +385,11 @@ impl Preconditioner for Ic0Preconditioner {
 
 /// Block Jacobi preconditioner with ILU(0) inside each diagonal block —
 /// PETSc's default parallel preconditioner, where each MPI rank factorises
-/// its local diagonal block (the paper's §5.1 set-up).
+/// its local diagonal block (the paper's §5.1 set-up).  Here each block is
+/// one pool task, for the factorisation and for every apply.
 #[derive(Debug, Clone)]
 pub struct BlockJacobiPreconditioner {
+    /// `(first row, factors)` per block; the blocks tile `0..dim` in order.
     blocks: Vec<(usize, Ilu0Preconditioner)>,
     dim: usize,
 }
@@ -365,30 +397,52 @@ pub struct BlockJacobiPreconditioner {
 impl BlockJacobiPreconditioner {
     /// Builds a block-Jacobi preconditioner with `n_blocks` contiguous
     /// diagonal blocks, each factorised with ILU(0).  `n_blocks` mirrors the
-    /// number of ranks in the simulated run.
+    /// number of ranks in the simulated run; more blocks than rows are
+    /// clamped to one row per block.
     ///
     /// # Errors
-    /// Propagates zero-pivot errors from the per-block ILU(0).
-    ///
-    /// # Panics
-    /// Panics if `n_blocks` is zero.
+    /// Returns [`SparseError::InvalidStructure`] if `n_blocks` is zero, and
+    /// otherwise the zero-pivot error of the first block, in row order, whose
+    /// ILU(0) fails.
     pub fn new(a: &CsrMatrix, n_blocks: usize) -> Result<Self, SparseError> {
-        assert!(n_blocks > 0, "need at least one block");
+        if n_blocks == 0 {
+            return Err(SparseError::InvalidStructure(
+                "block Jacobi needs at least one block".into(),
+            ));
+        }
         let n = a.nrows();
         let n_blocks = n_blocks.min(n.max(1));
         let base = n / n_blocks;
         let extra = n % n_blocks;
+        // Extract the blocks here, so the factors are allocated by the
+        // calling thread; the pool gets only the allocation-free numeric
+        // work.  Blocks after a structurally singular one are not built,
+        // and its error counts only if no earlier block fails.
         let mut blocks = Vec::with_capacity(n_blocks);
+        let mut structural = Ok(());
         let mut start = 0usize;
         for b in 0..n_blocks {
             let len = base + usize::from(b < extra);
             if len == 0 {
                 continue;
             }
-            let block = a.diagonal_block(start, len);
-            blocks.push((start, Ilu0Preconditioner::new(&block)?));
+            match Ilu0Preconditioner::unfactored(a.diagonal_block(start, len)) {
+                Ok(ilu) => blocks.push((start, ilu)),
+                Err(e) => {
+                    structural = Err(e);
+                    break;
+                }
+            }
             start += len;
         }
+        // `Result::and` keeps the left operand's error and the partials
+        // combine in block order, so the first failing block wins.
+        blocks
+            .par_iter_mut()
+            .with_min_len(1)
+            .map(|(_, ilu)| ilu.factorise())
+            .reduce(|| Ok(()), Result::and)?;
+        structural?;
         Ok(BlockJacobiPreconditioner { blocks, dim: n })
     }
 }
@@ -403,15 +457,19 @@ impl Preconditioner for BlockJacobiPreconditioner {
     fn apply_into(&self, r: &Vector, out: &mut Vector) {
         assert_eq!(r.len(), self.dim, "dimension mismatch");
         assert_eq!(out.len(), self.dim, "dimension mismatch");
-        for (start, ilu) in &self.blocks {
-            let len = ilu.factors.nrows();
-            // Each block solves straight between the corresponding slices —
-            // no per-block copies or allocations.
-            ilu.solve_into(
-                &r.as_slice()[*start..*start + len],
-                &mut out.as_mut_slice()[*start..*start + len],
-            );
+        // Each block solves straight into its own disjoint slice of `out`.
+        let mut outs = Vec::with_capacity(self.blocks.len());
+        let mut rest = out.as_mut_slice();
+        for (_, ilu) in &self.blocks {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(ilu.diag.len());
+            outs.push(head);
+            rest = tail;
         }
+        let r = r.as_slice();
+        outs.par_iter_mut()
+            .zip(self.blocks.par_iter())
+            .with_min_len(1)
+            .for_each(|(z, (start, ilu))| ilu.solve_into(&r[*start..*start + z.len()], z));
     }
 
     fn name(&self) -> &'static str {
@@ -644,6 +702,40 @@ mod tests {
         // More blocks than rows is clamped, not a panic.
         let bj_many = BlockJacobiPreconditioner::new(&a, 100).unwrap();
         assert_eq!(bj_many.apply(&r).len(), 16);
+    }
+
+    #[test]
+    fn block_jacobi_with_zero_blocks_is_a_typed_error() {
+        let a = spd_poisson2d(4);
+        assert!(matches!(
+            BlockJacobiPreconditioner::new(&a, 0),
+            Err(SparseError::InvalidStructure(_))
+        ));
+    }
+
+    #[test]
+    fn block_jacobi_reports_the_first_failing_block() {
+        // Block 0 factorises to a zero pivot in its row 1; block 1 has no
+        // diagonal entry in its row 0.  As in a serial build, block 0's
+        // error wins, although block 1 is rejected before any factorising.
+        let a = CsrMatrix::from_dense(
+            4,
+            4,
+            &[
+                1.0, 1.0, 0.0, 0.0, //
+                1.0, 1.0, 0.0, 0.0, //
+                0.0, 0.0, 0.0, 1.0, //
+                0.0, 0.0, 1.0, 1.0,
+            ],
+        );
+        assert_eq!(
+            BlockJacobiPreconditioner::new(&a, 2).unwrap_err(),
+            SparseError::ZeroDiagonal(1)
+        );
+        assert_eq!(
+            Ilu0Preconditioner::new(&a.diagonal_block(2, 2)).unwrap_err(),
+            SparseError::ZeroDiagonal(0)
+        );
     }
 
     #[test]

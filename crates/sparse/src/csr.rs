@@ -543,6 +543,13 @@ impl CsrMatrix {
         &mut self.values
     }
 
+    /// Row pointers and column indices beside the mutable value array, for
+    /// in-place factorisations that read the pattern while they update the
+    /// values.
+    pub fn pattern_and_values_mut(&mut self) -> (&[usize], &[usize], &mut [f64]) {
+        (&self.indptr, &self.indices, &mut self.values)
+    }
+
     /// Column indices of row `i`.
     pub fn row_indices(&self, i: usize) -> &[usize] {
         &self.indices[self.indptr[i]..self.indptr[i + 1]]
@@ -910,14 +917,21 @@ impl CsrMatrix {
     /// the block-Jacobi preconditioner.
     pub fn diagonal_block(&self, start: usize, len: usize) -> CsrMatrix {
         let end = (start + len).min(self.nrows);
+        let in_block = |j: &usize| (start..end).contains(j);
+        // Count first so the arrays get their exact size: in-place
+        // factorisations keep them as their storage, and growing by `push`
+        // would leave up to 2x slack there.
+        let nnz = (start..end)
+            .map(|i| self.row_indices(i).iter().filter(|j| in_block(j)).count())
+            .sum();
         let mut indptr = Vec::with_capacity(end - start + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
         indptr.push(0usize);
         for i in start..end {
             for k in self.indptr[i]..self.indptr[i + 1] {
                 let j = self.indices[k];
-                if j >= start && j < end {
+                if in_block(&j) {
                     indices.push(j - start);
                     values.push(self.values[k]);
                 }
@@ -1030,6 +1044,9 @@ mod tests {
         assert_eq!(b.get(0, 0), 4.0);
         assert_eq!(b.get(0, 1), -1.0);
         assert_eq!(b.get(1, 0), -1.0);
+        // Allocated at the exact size: factorisations keep these arrays.
+        assert_eq!(b.indices.capacity(), b.nnz());
+        assert_eq!(b.values.capacity(), b.nnz());
         // Block clipped at the matrix edge.
         let c = a.diagonal_block(2, 5);
         assert_eq!(c.nrows(), 1);

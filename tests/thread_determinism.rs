@@ -1,10 +1,15 @@
 //! Property tests of the execution layer's determinism guarantee: because
 //! the rayon shim splits work into chunks that depend only on the data
 //! length and combines partial results in chunk order, `dot`, `norm2`,
-//! `spmv` and SZ compression/decompression are **bit-identical** whether
-//! they run on 1 thread or on the whole pool.
+//! `spmv`, SZ compression/decompression and the block-Jacobi ILU(0)
+//! preconditioner (one pool task per block) — and therefore a whole
+//! preconditioned CG solve — are **bit-identical** whether they run on 1
+//! thread or on the whole pool.
 
 use lossy_ckpt::compress::{ErrorBound, LossyCompressor, SzCompressor};
+use lossy_ckpt::core::workload::PaperWorkload;
+use lossy_ckpt::solvers::{BlockJacobiPreconditioner, Preconditioner, SolverKind};
+use lossy_ckpt::sparse::poisson::poisson3d;
 use lossy_ckpt::sparse::vector::{dot, norm2};
 use lossy_ckpt::sparse::{CsrMatrix, Vector, PAR_THRESHOLD};
 use proptest::prelude::*;
@@ -133,4 +138,48 @@ proptest! {
             prop_assert!((orig - rest).abs() <= 1e-6 * (1.0 + 1e-12));
         }
     }
+
+    #[test]
+    fn block_jacobi_factor_and_apply_bit_identical_at_1_vs_n_threads(
+        edge in 6usize..12,
+        n_blocks in 1usize..24,
+        seed in 1u64..1_000,
+    ) {
+        ensure_pool();
+        let a = poisson3d(edge);
+        let r = random_vector(a.nrows(), seed);
+        // Factorise and apply under each thread cap, so both pool phases
+        // are compared.
+        let solve = |threads| {
+            with_threads(threads, || {
+                BlockJacobiPreconditioner::new(&a, n_blocks)
+                    .expect("ILU(0) of Poisson")
+                    .apply(&r)
+            })
+        };
+        let (z_1, z_n) = (solve(1), solve(0));
+        for (v1, vn) in z_1.iter().zip(z_n.iter()) {
+            prop_assert_eq!(v1.to_bits(), vn.to_bits());
+        }
+    }
+}
+
+#[test]
+fn preconditioned_cg_trace_bit_identical_at_1_vs_n_threads() {
+    ensure_pool();
+    let workload = PaperWorkload::poisson(256, 14);
+    let problem = workload.build();
+    let trace = |threads| {
+        with_threads(threads, || {
+            let mut cg = workload.build_solver(&problem, SolverKind::Cg, 10_000);
+            cg.run_to_convergence();
+            assert!(!cg.history().limit_reached);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (
+                bits(cg.history().residuals()),
+                bits(cg.solution().as_slice()),
+            )
+        })
+    };
+    assert_eq!(trace(1), trace(0));
 }
