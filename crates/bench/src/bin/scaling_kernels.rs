@@ -13,7 +13,9 @@
 //! same codes against two simulated prior snapshots), and the durable
 //! checkpoint tier
 //! (`disk_ckpt_write`: arena → crash-consistent file with CRCs + fsync +
-//! rename; `disk_ckpt_read`: read-back with full CRC validation), at 1, 2
+//! rename; `disk_ckpt_read`: read-back with full CRC validation) and the
+//! IEEE CRC-32 those two rows spend most of their CPU time in (`crc32`:
+//! elements are bytes, so Melem/s reads as MB/s), at 1, 2
 //! and N pool threads — verifying along the way that every result is
 //! **bit-identical** across thread counts (the deterministic fixed-chunk
 //! scheduling guarantee; the disk rows are single-threaded I/O measured
@@ -216,6 +218,15 @@ fn main() {
             out.extend_from_slice(&v.to_le_bytes());
         }
     });
+
+    // CRC-32 input: one traditional checkpoint of the end-to-end benchmark
+    // problem (`x` and `p` of the 110,592-unknown Poisson system as raw
+    // doubles, 1,769,472 bytes) — what every disk push and recovery read
+    // checksums.
+    let crc_payload: Vec<u8> = sz_data[..2 * 110_592]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
 
     // --- measurement ------------------------------------------------------
     let mut rows: Vec<ScalingRow> = Vec::new();
@@ -423,6 +434,12 @@ fn main() {
         });
         let disk_read_fp = u64::from(crc32(&read_back.payloads[0].1));
         measured.push(("disk_ckpt_read", sz_len, disk_read_fp, secs));
+
+        // Single-stream like the disk rows; the checksum itself is the
+        // bit-identity fingerprint.
+        let mut crc = 0u32;
+        let secs = time_median(reps, || crc = crc32(std::hint::black_box(&crc_payload)));
+        measured.push(("crc32", crc_payload.len(), u64::from(crc), secs));
 
         for (name, elements, fingerprint, seconds) in measured {
             let (base_secs, base_fp) = *baseline

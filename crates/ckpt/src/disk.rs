@@ -64,9 +64,11 @@
 //! With [`DiskStore::set_write_behind`] the store hands the whole
 //! [`CheckpointBuffer`] arena to a background I/O thread and immediately
 //! returns a recycled arena, so file I/O overlaps the next solver
-//! iterations.  At most one write is in flight (double buffering): a
-//! second push, [`DiskStore::flush`] or any recovery first joins the
-//! outstanding write, so recovery never races a half-written file.
+//! iterations.  The header (payload CRCs included) is encoded before the
+//! hand-off, so invalid arguments fail the push itself.  At most one
+//! write is in flight (double buffering): a second push,
+//! [`DiskStore::flush`] or any recovery first joins the outstanding
+//! write, so recovery never races a half-written file.
 
 use crate::backend::{OsBackend, RetryPolicy, StorageBackend};
 use crate::pfs::CheckpointLevel;
@@ -84,8 +86,12 @@ pub const MAGIC: [u8; 8] = *b"LCRCKPT0";
 /// fields; version-1 files still parse as all-anchor stores).
 pub const FORMAT_VERSION: u32 = 2;
 
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 lookup tables for the reflected IEEE polynomial
+/// `0xEDB88320`: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// sixteen lookups advance the CRC over sixteen input bytes at once.
+const fn make_crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -94,19 +100,52 @@ const fn make_crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1usize;
+    while t < 16 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = make_crc_table();
+static CRC_TABLES: [[u32; 256]; 16] = make_crc_tables();
 
-/// IEEE CRC-32 (the zip/PNG polynomial) of `bytes`.
+/// IEEE CRC-32 (the zip/PNG polynomial) of `bytes`, computed
+/// slicing-by-16: sixteen input bytes per step, bytewise for the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let b: &[u8; 16] = block.try_into().expect("16-byte block");
+        let w = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(w & 0xFF) as usize]
+            ^ t[14][((w >> 8) & 0xFF) as usize]
+            ^ t[13][((w >> 16) & 0xFF) as usize]
+            ^ t[12][(w >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in blocks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -163,15 +202,25 @@ struct FileMeta {
     scalars: Vec<(String, f64)>,
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = u16::try_from(s.len()).expect("name longer than 65535 bytes");
+fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
+    let len = u16::try_from(s.len()).map_err(|_| {
+        CkptError::InvalidArgument(format!(
+            "name of {} bytes exceeds the format's 65535-byte limit",
+            s.len()
+        ))
+    })?;
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(s.as_bytes());
+    Ok(())
 }
 
 /// Serializes the header (magic + version + metadata + metadata CRC) for a
 /// checkpoint whose payloads are the segments of `buffer`.
-fn encode_header(meta: &FileMeta, buffer: &CheckpointBuffer) -> Vec<u8> {
+///
+/// # Errors
+/// [`CkptError::InvalidArgument`] if the strategy tag, a scalar name or a
+/// variable name is longer than 65,535 bytes.
+fn encode_header(meta: &FileMeta, buffer: &CheckpointBuffer) -> Result<Vec<u8>> {
     let mut block = Vec::with_capacity(64 + 32 * buffer.n_variables());
     block.extend_from_slice(&meta.id.to_le_bytes());
     block.extend_from_slice(&(meta.iteration as u64).to_le_bytes());
@@ -185,15 +234,15 @@ fn encode_header(meta: &FileMeta, buffer: &CheckpointBuffer) -> Vec<u8> {
             block.extend_from_slice(&base_id.to_le_bytes());
         }
     }
-    put_str(&mut block, &meta.tag);
+    put_str(&mut block, &meta.tag)?;
     block.extend_from_slice(&(meta.scalars.len() as u32).to_le_bytes());
     for (name, value) in &meta.scalars {
-        put_str(&mut block, name);
+        put_str(&mut block, name)?;
         block.extend_from_slice(&value.to_bits().to_le_bytes());
     }
     block.extend_from_slice(&(buffer.n_variables() as u32).to_le_bytes());
     for (name, payload) in buffer.segments() {
-        put_str(&mut block, name);
+        put_str(&mut block, name)?;
         block.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         block.extend_from_slice(&crc32(payload).to_le_bytes());
     }
@@ -204,7 +253,7 @@ fn encode_header(meta: &FileMeta, buffer: &CheckpointBuffer) -> Vec<u8> {
     out.extend_from_slice(&(block.len() as u32).to_le_bytes());
     out.extend_from_slice(&block);
     out.extend_from_slice(&crc32(&out).to_le_bytes());
-    out
+    Ok(out)
 }
 
 /// Bounds-checked little-endian reader over a byte slice.
@@ -442,13 +491,12 @@ fn write_atomic(
 /// retry count and backoff schedule so the owning store can account for
 /// the supervision work done on the I/O thread.
 fn write_job(job: &Job) -> (std::result::Result<(), String>, u32, Vec<f64>) {
-    let header = encode_header(&job.meta, &job.buffer);
     let (result, retries, backoff) = job.retry.run(|| {
         write_atomic(
             job.backend.as_ref(),
             &job.tmp,
             &job.fin,
-            &header,
+            &job.header,
             job.buffer.arena_bytes(),
         )
     });
@@ -460,9 +508,12 @@ fn write_job(job: &Job) -> (std::result::Result<(), String>, u32, Vec<f64>) {
 }
 
 struct Job {
+    id: u64,
     tmp: PathBuf,
     fin: PathBuf,
-    meta: FileMeta,
+    /// Encoded on the pushing thread, so a bad argument fails the push
+    /// itself rather than a deferred write.
+    header: Vec<u8>,
     buffer: CheckpointBuffer,
     backend: Arc<dyn StorageBackend>,
     retry: RetryPolicy,
@@ -493,7 +544,7 @@ impl WriteBehind {
                 while let Ok(job) = rx.recv() {
                     let (result, retries, backoff) = write_job(&job);
                     let done = JobDone {
-                        id: job.meta.id,
+                        id: job.id,
                         buffer: job.buffer,
                         result,
                         retries,
@@ -576,10 +627,8 @@ impl DiskStore {
     /// Corrupt or incomplete files are kept on disk but never selected.
     ///
     /// # Errors
+    /// [`CkptError::InvalidArgument`] if `retain` is zero;
     /// [`CkptError::Io`] if the directory cannot be created or scanned.
-    ///
-    /// # Panics
-    /// Panics if `retain` is zero.
     pub fn open(dir: impl AsRef<Path>, retain: usize) -> Result<Self> {
         Self::open_with_backend(dir, retain, Arc::new(OsBackend))
     }
@@ -590,16 +639,17 @@ impl DiskStore {
     /// thread's, goes through `backend`.
     ///
     /// # Errors
-    /// [`CkptError::Io`] if the directory cannot be created or scanned.
-    ///
-    /// # Panics
-    /// Panics if `retain` is zero.
+    /// Same contract as [`DiskStore::open`].
     pub fn open_with_backend(
         dir: impl AsRef<Path>,
         retain: usize,
         backend: Arc<dyn StorageBackend>,
     ) -> Result<Self> {
-        assert!(retain > 0, "must retain at least one checkpoint");
+        if retain == 0 {
+            return Err(CkptError::InvalidArgument(
+                "must retain at least one checkpoint".into(),
+            ));
+        }
         let dir = dir.as_ref().to_path_buf();
         backend
             .create_dir_all(&dir)
@@ -931,23 +981,20 @@ impl DiskStore {
     /// delta is always coded against the checkpoint pushed immediately
     /// before it (the newest indexed entry at push time).
     ///
-    /// # Panics
-    /// Panics if a delta is pushed into an empty store — a delta without a
-    /// base is undecodable by construction, so this is a caller bug.
-    fn encoding_for(&self, delta_order: Option<u8>) -> CheckpointEncoding {
-        match delta_order {
-            None => CheckpointEncoding::Anchor,
-            Some(order) => {
-                let base = self
-                    .entries
-                    .back()
-                    .expect("delta checkpoint pushed into an empty disk store");
-                CheckpointEncoding::Delta {
-                    base_id: base.id,
-                    order,
-                }
-            }
-        }
+    /// # Errors
+    /// [`CkptError::InvalidArgument`] if a delta is pushed into an empty
+    /// store: a delta without a base is undecodable by construction.
+    fn encoding_for(&self, delta_order: Option<u8>) -> Result<CheckpointEncoding> {
+        let Some(order) = delta_order else {
+            return Ok(CheckpointEncoding::Anchor);
+        };
+        let base = self.entries.back().ok_or_else(|| {
+            CkptError::InvalidArgument("delta checkpoint pushed into an empty disk store".into())
+        })?;
+        Ok(CheckpointEncoding::Delta {
+            base_id: base.id,
+            order,
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1003,10 +1050,9 @@ impl DiskStore {
     ///
     /// # Errors
     /// [`CkptError::Io`] if the write fails (nothing is registered), or if
-    /// a previously deferred write-behind error is pending.
-    ///
-    /// # Panics
-    /// Panics if a delta is pushed into an empty store.
+    /// a previously deferred write-behind error is pending;
+    /// [`CkptError::InvalidArgument`] if a delta is pushed into an empty
+    /// store or a name is longer than 65,535 bytes (nothing is written).
     #[allow(clippy::too_many_arguments)]
     pub fn push_from_buffer(
         &mut self,
@@ -1020,7 +1066,7 @@ impl DiskStore {
         buffer: &CheckpointBuffer,
     ) -> Result<CheckpointMetadata> {
         self.flush()?;
-        let encoding = self.encoding_for(delta_order);
+        let encoding = self.encoding_for(delta_order)?;
         let id = self.next_id;
         let meta = self.file_meta(
             id,
@@ -1033,7 +1079,7 @@ impl DiskStore {
             scalars,
         );
         let (fin, tmp) = self.paths_for(id);
-        let header = encode_header(&meta, buffer);
+        let header = encode_header(&meta, buffer)?;
         let (result, retries, backoff) = self
             .retry
             .run(|| write_atomic(self.backend.as_ref(), &tmp, &fin, &header, buffer.arena_bytes()));
@@ -1062,7 +1108,9 @@ impl DiskStore {
     /// # Errors
     /// [`CkptError::Io`] if the *previous* deferred write failed (the new
     /// checkpoint is still enqueued) or, in the synchronous fallback, if
-    /// this write fails.
+    /// this write fails; [`CkptError::InvalidArgument`] as for
+    /// [`DiskStore::push_from_buffer`], in which case nothing is enqueued
+    /// and `buffer` itself is handed back.
     #[allow(clippy::too_many_arguments)]
     pub fn push_from_buffer_async(
         &mut self,
@@ -1088,22 +1136,29 @@ impl DiskStore {
             );
             return (result, buffer);
         }
+        let id = self.next_id;
+        let prepared = self.encoding_for(delta_order).and_then(|encoding| {
+            let meta = self.file_meta(
+                id,
+                iteration,
+                completed_at,
+                level,
+                original_bytes,
+                encoding,
+                tag,
+                scalars,
+            );
+            let header = encode_header(&meta, &buffer)?;
+            Ok((meta, header))
+        });
+        let (meta, header) = match prepared {
+            Ok(prepared) => prepared,
+            Err(e) => return (Err(e), buffer),
+        };
         let recycled = self.join_one().unwrap_or_default();
         let deferred_error = self.first_error.take();
-        let encoding = self.encoding_for(delta_order);
 
-        let id = self.next_id;
         self.next_id += 1;
-        let meta = self.file_meta(
-            id,
-            iteration,
-            completed_at,
-            level,
-            original_bytes,
-            encoding,
-            tag,
-            scalars,
-        );
         let (fin, tmp) = self.paths_for(id);
         let metadata = Self::metadata_for(&meta, &buffer);
         let backend = Arc::clone(&self.backend);
@@ -1111,9 +1166,10 @@ impl DiskStore {
         let sent = {
             let wb = self.write_behind.as_mut().expect("write-behind checked above");
             let sent = wb.tx.send(Job {
+                id,
                 tmp,
                 fin: fin.clone(),
-                meta,
+                header,
                 buffer,
                 backend,
                 retry,
@@ -1353,12 +1409,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn roundtrip_preserves_everything() {
         let dir = tempdir("roundtrip");
         let mut store = DiskStore::open(&dir, 2).unwrap();
@@ -1570,9 +1620,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "retain at least one")]
-    fn zero_retention_panics() {
-        let _ = DiskStore::open(std::env::temp_dir().join("lcr-disk-zero"), 0);
+    fn zero_retention_is_an_invalid_argument() {
+        let dir = tempdir("zero");
+        let err = DiskStore::open(&dir, 0).unwrap_err();
+        assert!(matches!(err, CkptError::InvalidArgument(ref m) if m.contains("retain")));
+        assert!(!dir.exists(), "nothing is created for a rejected open");
     }
 
     #[test]
@@ -1669,11 +1721,80 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty disk store")]
-    fn delta_into_empty_disk_store_panics() {
+    fn delta_into_empty_disk_store_is_an_invalid_argument() {
         let dir = tempdir("deltaempty");
         let mut store = DiskStore::open(&dir, 2).unwrap();
-        let _ = push_sample_delta(&mut store, 0, Some(1));
+        let buf = sample_buffer();
+        let err = store
+            .push_from_buffer(0, 0.0, CheckpointLevel::Pfs, 800, Some(1), "lossy", &[], &buf)
+            .unwrap_err();
+        assert!(matches!(err, CkptError::InvalidArgument(ref m) if m.contains("empty disk store")));
+
+        store.set_write_behind(true).unwrap();
+        let (result, handed_back) = store.push_from_buffer_async(
+            0,
+            0.0,
+            CheckpointLevel::Pfs,
+            800,
+            Some(2),
+            "lossy",
+            &[],
+            sample_buffer(),
+        );
+        assert!(matches!(result, Err(CkptError::InvalidArgument(_))));
+        assert_eq!(handed_back.total_bytes(), 45, "the caller's buffer comes back");
+        store.flush().unwrap();
+        assert!(store.is_empty());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "nothing was written");
+
+        // The store stays usable: an anchor then a delta on it both commit.
+        store.set_write_behind(false).unwrap();
+        push_sample(&mut store, 1);
+        assert_eq!(push_sample_delta(&mut store, 2, Some(1)).id, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn over_long_names_are_invalid_arguments() {
+        let dir = tempdir("longname");
+        let mut store = DiskStore::open(&dir, 2).unwrap();
+        let long = "n".repeat(usize::from(u16::MAX) + 1);
+        let buf = sample_buffer();
+        let push = |store: &mut DiskStore, tag: &str, scalars: &[(String, f64)], buf| {
+            store.push_from_buffer(0, 0.0, CheckpointLevel::Pfs, 800, None, tag, scalars, buf)
+        };
+        let tag_err = push(&mut store, &long, &[], &buf).unwrap_err();
+        assert!(matches!(tag_err, CkptError::InvalidArgument(ref m) if m.contains("65535")));
+        let scalar_err = push(&mut store, "lossy", &[(long.clone(), 1.0)], &buf).unwrap_err();
+        assert!(matches!(scalar_err, CkptError::InvalidArgument(_)));
+        let mut long_var = CheckpointBuffer::new();
+        long_var.push_with(&long, |out| out.push(1));
+        let var_err = push(&mut store, "lossy", &[], &long_var).unwrap_err();
+        assert!(matches!(var_err, CkptError::InvalidArgument(_)));
+
+        // Write-behind rejects before enqueueing, handing the buffer back.
+        store.set_write_behind(true).unwrap();
+        let (result, handed_back) = store.push_from_buffer_async(
+            0,
+            0.0,
+            CheckpointLevel::Pfs,
+            800,
+            None,
+            &long,
+            &[],
+            sample_buffer(),
+        );
+        assert!(matches!(result, Err(CkptError::InvalidArgument(_))));
+        assert_eq!(handed_back.n_variables(), 3);
+        store.flush().unwrap();
+        assert!(store.is_empty());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "nothing was written");
+
+        // A name of exactly the limit still fits the format.
+        let limit = "n".repeat(usize::from(u16::MAX));
+        push(&mut store, &limit, &[], &buf).unwrap();
+        assert_eq!(store.latest_valid().unwrap().tag, limit);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

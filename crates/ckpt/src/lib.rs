@@ -70,6 +70,9 @@ pub enum CkptError {
     Corrupt(String),
     /// The durable tier hit a real I/O error (message carries the cause).
     Io(String),
+    /// A caller passed an argument the store cannot honour (zero
+    /// retention, a delta without a base, an over-long name).
+    InvalidArgument(String),
 }
 
 impl std::fmt::Display for CkptError {
@@ -79,6 +82,7 @@ impl std::fmt::Display for CkptError {
             CkptError::UnknownVariable(id) => write!(f, "unknown protected variable: {id}"),
             CkptError::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
             CkptError::Io(msg) => write!(f, "checkpoint I/O error: {msg}"),
+            CkptError::InvalidArgument(msg) => write!(f, "invalid checkpoint argument: {msg}"),
         }
     }
 }
@@ -98,5 +102,6 @@ mod tests {
         assert!(CkptError::UnknownVariable("x".into()).to_string().contains('x'));
         assert!(CkptError::Corrupt("bad".into()).to_string().contains("bad"));
         assert!(CkptError::Io("disk full".into()).to_string().contains("disk full"));
+        assert!(CkptError::InvalidArgument("retain".into()).to_string().contains("retain"));
     }
 }
