@@ -127,8 +127,9 @@ impl ChaosPlan {
 
     /// Builds the seeded fault-injecting storage backend for this plan.
     /// `salt` decorrelates streams (use the shard index); the returned
-    /// `Arc` can be cloned into a [`DiskStore`] while the caller keeps a
-    /// handle for [`FaultyBackend::fault_log`] inspection.
+    /// `Arc` can be cloned into a [`DiskStore`](lcr_ckpt::DiskStore)
+    /// while the caller keeps a handle for [`FaultyBackend::fault_log`]
+    /// inspection.
     pub fn backend(&self, salt: u64) -> Arc<FaultyBackend> {
         Arc::new(FaultyBackend::new(*self, salt))
     }

@@ -19,17 +19,17 @@
 //!
 //! Metadata block: checkpoint id `u64` · iteration `u64` · completed-at
 //! `f64` bits · storage level `u8` · original bytes `u64` · **encoding tag
-//! `u8`** (0 = anchor, 1/2 = temporal delta of that order; *version ≥ 2
-//! only*) · **base checkpoint id `u64`** (*only when the tag is 1 or 2*) ·
+//! `u8`** (0 = anchor, 1/2 = temporal delta of that order) · **base
+//! checkpoint id `u64`** (*only when the tag is 1 or 2*) ·
 //! strategy tag (`u16` length + UTF-8) · scalar count `u32` + per scalar
 //! (`u16` name length + name + `f64` bits) · segment count `u32` + per
 //! segment (`u16` name length + name + payload length `u64` + payload
 //! CRC32 `u32`).
 //!
-//! Version-1 files (no encoding tag, every checkpoint self-contained)
-//! still parse; they are treated as anchors.
+//! Only version 2 parses; a file stamped with any other version is
+//! corrupt and recovery skips it.
 //!
-//! # Delta chains (version 2)
+//! # Delta chains
 //!
 //! A delta-encoded checkpoint stores temporally delta-coded payload
 //! streams that decode only against its base checkpoint's streams
@@ -39,7 +39,7 @@
 //! * **Retention** evicts whole chains: the oldest file is deleted only
 //!   together with every file that (transitively) delta-depends on it, so
 //!   a live delta never loses its base — the window temporarily stretches
-//!   past `retain` instead ([`DiskStore::register`]).
+//!   past `retain` instead (`DiskStore::register`).
 //! * **Recovery** returns whole chains: [`DiskStore::latest_valid_chain`]
 //!   walks candidates newest→oldest, follows base links back to the
 //!   nearest anchor, and CRC-validates *every* member.  If any member is
@@ -82,8 +82,8 @@ use std::thread;
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"LCRCKPT0";
-/// Current on-disk format version (2 added the anchor-vs-delta encoding
-/// fields; version-1 files still parse as all-anchor stores).
+/// The on-disk format version, the only one [`read_checkpoint_file`]
+/// accepts.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Slicing-by-16 lookup tables for the reflected IEEE polynomial
@@ -328,7 +328,7 @@ fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
         return Err(corrupt("bad magic"));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version == 0 || version > FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(corrupt(&format!("unsupported format version {version}")));
     }
     let meta_len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
@@ -349,19 +349,13 @@ fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
     let level = level_from_u8(r.u8()?)?;
     let original_bytes = usize::try_from(r.u64()?)
         .map_err(|_| corrupt("original size does not fit in usize"))?;
-    let encoding = if version >= 2 {
-        match r.u8()? {
-            0 => CheckpointEncoding::Anchor,
-            order @ (1 | 2) => CheckpointEncoding::Delta {
-                base_id: r.u64()?,
-                order,
-            },
-            other => return Err(corrupt(&format!("unknown encoding tag {other}"))),
-        }
-    } else {
-        // Version-1 files predate delta chains: every checkpoint is
-        // self-contained.
-        CheckpointEncoding::Anchor
+    let encoding = match r.u8()? {
+        0 => CheckpointEncoding::Anchor,
+        order @ (1 | 2) => CheckpointEncoding::Delta {
+            base_id: r.u64()?,
+            order,
+        },
+        other => return Err(corrupt(&format!("unknown encoding tag {other}"))),
     };
     let tag = r.string()?;
     let n_scalars = r.u32()? as usize;
@@ -1891,17 +1885,19 @@ mod tests {
     }
 
     #[test]
-    fn version_1_files_parse_as_anchors() {
-        let dir = tempdir("v1compat");
+    fn version_1_files_are_corrupt_and_skipped() {
+        let dir = tempdir("v1reject");
         let mut store = DiskStore::open(&dir, 2).unwrap();
-        let meta = push_sample(&mut store, 10);
+        push_sample(&mut store, 5);
+        push_sample(&mut store, 10);
         drop(store);
 
-        // Rewrite the file as format version 1: drop the encoding tag byte
-        // (offset 49 = 16-byte fixed header + id/iteration/completed-at
-        // u64s + level u8 + original-bytes u64), patch the version and
-        // metadata length, and recompute the metadata CRC.
-        let path = dir.join("ckpt-0000000000.lcr");
+        // Rewrite the newest file in the retired version-1 layout: drop
+        // the encoding tag byte (offset 49 = 16-byte fixed header +
+        // id/iteration/completed-at u64s + level u8 + original-bytes u64),
+        // patch the version and metadata length, and recompute the
+        // metadata CRC — a well-formed file of a version no reader keeps.
+        let path = dir.join("ckpt-0000000001.lcr");
         let mut bytes = fs::read(&path).unwrap();
         bytes.remove(49);
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
@@ -1912,13 +1908,13 @@ mod tests {
         bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
 
-        let ckpt = read_checkpoint_file(&path).unwrap();
-        assert_eq!(ckpt.metadata.encoding, CheckpointEncoding::Anchor);
-        assert_eq!(ckpt.metadata.iteration, meta.iteration);
-        assert_eq!(ckpt.payloads[0].1, vec![1u8, 2, 3, 4, 5]);
+        match read_checkpoint_file(&path) {
+            Err(CkptError::Corrupt(msg)) => assert!(msg.contains("version 1"), "{msg}"),
+            other => panic!("version-1 file must be corrupt, got {other:?}"),
+        }
 
         let mut reopened = DiskStore::open(&dir, 2).unwrap();
-        assert_eq!(reopened.latest_valid().unwrap().metadata.iteration, 10);
+        assert_eq!(reopened.latest_valid().unwrap().metadata.iteration, 5);
         let _ = fs::remove_dir_all(&dir);
     }
 }

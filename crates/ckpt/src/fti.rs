@@ -218,34 +218,6 @@ impl FtiContext {
         (self.scale_metadata(metadata), write_seconds)
     }
 
-    /// [`FtiContext::snapshot`] over a reusable [`CheckpointBuffer`]: the
-    /// zero-copy save path — encoded payloads go from the buffer arena into
-    /// the store with a single copy and no intermediate `Vec`s.
-    ///
-    /// Convenience wrapper that bills the write and commits in one step
-    /// (no mid-write failure window).  The runner uses
-    /// [`FtiContext::planned_write_seconds`] +
-    /// [`FtiContext::commit_snapshot_from_buffer`] instead, so a failure
-    /// striking *during* the write discards the checkpoint — FTI
-    /// atomicity — rather than committing it first.
-    ///
-    /// # Panics
-    /// Panics if an attached disk tier fails to persist the snapshot (the
-    /// runner path surfaces this as a failed checkpoint instead).
-    pub fn snapshot_from_buffer(
-        &mut self,
-        clock: &mut SimClock,
-        iteration: usize,
-        buffer: &mut CheckpointBuffer,
-    ) -> (CheckpointMetadata, f64) {
-        let write_seconds = self.planned_write_seconds(buffer.total_bytes());
-        clock.advance(write_seconds);
-        let metadata = self
-            .commit_snapshot_from_buffer(clock.now(), iteration, "", &[], None, buffer, write_seconds)
-            .expect("durable tier rejected the snapshot");
-        (metadata, write_seconds)
-    }
-
     /// Simulated seconds a snapshot of `stored_bytes` would take at the
     /// configured byte scale — the duration of the write window, computed
     /// *before* committing anything so the caller can decide whether a
@@ -516,8 +488,24 @@ mod tests {
         assert!(rec.read_seconds > rec_small.read_seconds);
     }
 
+    /// The runner's zero-copy save path: bill the write window on the
+    /// clock, then commit the buffer.
+    fn commit_buffer(
+        fti: &mut FtiContext,
+        clock: &mut SimClock,
+        iteration: usize,
+        buf: &mut crate::store::CheckpointBuffer,
+    ) -> (CheckpointMetadata, f64) {
+        let secs = fti.planned_write_seconds(buf.total_bytes());
+        clock.advance(secs);
+        let meta = fti
+            .commit_snapshot_from_buffer(clock.now(), iteration, "", &[], None, buf, secs)
+            .unwrap();
+        (meta, secs)
+    }
+
     #[test]
-    fn snapshot_from_buffer_matches_snapshot() {
+    fn committed_buffer_matches_snapshot() {
         use crate::store::CheckpointBuffer;
 
         let mut fti_a = context(2048);
@@ -532,7 +520,7 @@ mod tests {
         let mut buf = CheckpointBuffer::new();
         buf.push_with("x", |bytes| bytes.extend_from_slice(&[9u8; 1000]));
         buf.push_with("y", |bytes| bytes.extend_from_slice(&[7u8; 50]));
-        let (meta_a, secs_a) = fti_a.snapshot_from_buffer(&mut clock_a, 5, &mut buf);
+        let (meta_a, secs_a) = commit_buffer(&mut fti_a, &mut clock_a, 5, &mut buf);
         let (meta_b, secs_b) = fti_b.snapshot(
             &mut clock_b,
             5,
@@ -552,7 +540,7 @@ mod tests {
         // The buffer is reusable after the snapshot.
         buf.clear();
         buf.push_with("x", |bytes| bytes.extend_from_slice(&[1u8; 10]));
-        let (meta2, _) = fti_a.snapshot_from_buffer(&mut clock_a, 6, &mut buf);
+        let (meta2, _) = commit_buffer(&mut fti_a, &mut clock_a, 6, &mut buf);
         assert_eq!(meta2.iteration, 6);
         assert_eq!(fti_a.store().len(), 2);
     }
@@ -563,9 +551,7 @@ mod tests {
         fti.set_byte_scale(500.0);
         let planned = fti.planned_write_seconds(1_000_000);
         let mut clock = SimClock::new();
-        let mut buf = crate::store::CheckpointBuffer::new();
-        buf.push_with("x", |bytes| bytes.extend_from_slice(&vec![0u8; 1_000_000]));
-        let (_, secs) = fti.snapshot_from_buffer(&mut clock, 0, &mut buf);
+        let (_, secs) = fti.snapshot(&mut clock, 0, vec![("x".to_string(), vec![0u8; 1_000_000])]);
         assert_eq!(planned, secs);
         assert_eq!(clock.now(), planned);
     }

@@ -8,7 +8,7 @@
 //! the signed differences to compact unsigned symbols with the zigzag
 //! encoding, ready for the same histogram + canonical-Huffman stage the
 //! direct codes go through.  The transform is **lossless on the codes**:
-//! un-delta-ing reproduces the exact v4 code array, so a delta chain
+//! un-delta-ing reproduces the exact direct code array, so a delta chain
 //! replay reconstructs values bit-identically to a direct decode.
 //!
 //! The kernels follow the `lcr_sparse::simd` style: chunk-of-8 `[u32; 8]`

@@ -9,33 +9,26 @@
 //!
 //! * **Encoding** looks codes up in a flat dense vector indexed by
 //!   `symbol − min_symbol` (the SZ quantization-code common case; a sorted
-//!   slice with binary search backs arbitrary sparse alphabets) — no
-//!   `HashMap` in the hot loop — and emits them through the word-buffered
-//!   [`BitWriter`].
-//! * **Decoding** resolves every code of ≤ [`TABLE_BITS`] bits with a
+//!   slice with binary search backs arbitrary sparse alphabets) and emits
+//!   them through the word-buffered [`BitWriter`].
+//! * **Decoding** resolves every code of ≤ `TABLE_BITS` (12) bits with a
 //!   single table probe ([`BitReader::peek_bits`] + lookup + consume) and
 //!   falls back to the canonical first-code/offset method only for the
 //!   rare longer codes.
 //! * **Frequencies** are counted into a dense `Vec` histogram whenever the
 //!   symbol span is small, which it always is for SZ quantization codes.
 //!
-//! Two serialised formats exist: the legacy v1 blob (`u64` count, explicit
-//! `(u32 symbol, u8 length)` table) that SZ stream version 3 used, still
-//! fully decodable via [`decode_block_legacy`], and the v2 blob (varint
-//! count, length-grouped delta-coded table) written by [`encode_block`].
+//! One serialised format exists, the v2 blob written by [`encode_block`]:
+//! varint symbol count, the length-grouped delta-coded table of
+//! [`HuffmanCode::write_table_v2`], varint bit-stream length, bits.
 
 use crate::bitstream::{bytes, BitReader, BitWriter};
 use crate::{CompressError, Result};
-// lcr-analyze: allow(hash-collection): accumulation-only use; every iteration site sorts by symbol first
-use std::collections::HashMap;
 
-/// Maximum code length accepted when deserialising a table.  Legacy v1
-/// tables were written with lengths up to 48, so the decoder keeps
-/// supporting the full range.
-const MAX_CODE_LEN: u8 = 48;
-
-/// Maximum code length the builder emits.  Codes are length-limited to
-/// this depth (Kraft-preserving rebalance) so decoder tables stay small.
+/// Maximum code length.  The builder length-limits codes to this depth
+/// (Kraft-preserving rebalance) so decoder tables stay small and every
+/// code fits the encoder's 32-bit fast path; the table reader rejects
+/// anything longer.
 const BUILD_MAX_LEN: u8 = 32;
 
 /// Bits resolved per decode-table probe; codes no longer than this decode
@@ -77,23 +70,6 @@ pub struct HuffmanCode {
 }
 
 impl HuffmanCode {
-    /// Builds a code book from the frequency of each symbol.  Symbols with
-    /// zero frequency receive no code.
-    ///
-    /// # Panics
-    /// Panics if `frequencies` is empty or all zero (the callers always
-    /// encode at least one symbol).
-    // lcr-analyze: allow(hash-collection): pairs are sorted by symbol before use, so hash order never reaches the code book
-    pub fn from_frequencies(frequencies: &HashMap<u32, u64>) -> Self {
-        let mut present: Vec<(u32, u64)> = frequencies
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(&s, &c)| (s, c))
-            .collect();
-        present.sort_unstable();
-        Self::from_sorted_frequencies(&present)
-    }
-
     /// Builds a code book from `(symbol, count)` pairs sorted by symbol
     /// with every count positive.
     ///
@@ -280,14 +256,14 @@ impl HuffmanCode {
         }
         let mut kraft = 0u128;
         for &(_, len) in &lengths {
-            if len == 0 || len > MAX_CODE_LEN {
+            if len == 0 || len > BUILD_MAX_LEN {
                 return Err(CompressError::Corrupt(format!(
                     "invalid code length {len}"
                 )));
             }
-            kraft += 1u128 << (MAX_CODE_LEN - len);
+            kraft += 1u128 << (BUILD_MAX_LEN - len);
         }
-        if kraft > 1u128 << MAX_CODE_LEN {
+        if kraft > 1u128 << BUILD_MAX_LEN {
             return Err(CompressError::Corrupt(
                 "Huffman table violates the Kraft inequality".into(),
             ));
@@ -316,77 +292,58 @@ impl HuffmanCode {
     pub fn encode(&self, symbols: &[u32], writer: &mut BitWriter) -> Result<()> {
         match &self.encode_index {
             EncodeIndex::Dense { min_sym, slots } => {
-                // The hot path: one slot load + one packed-code load per
-                // symbol, concatenated into a **local accumulator** that
-                // spills through the writer only when it cannot take the
-                // next code.  MSB-first concatenation is associative, so
-                // flushing `acc_bits` accumulated bits in one
-                // `write_bits` call produces the identical byte stream as
-                // symbol-at-a-time writes while amortising the writer's
-                // shift/flush bookkeeping over dozens of symbols (low-
-                // entropy SZ code streams average ~1–2 bits per symbol).
-                // Safe whenever every code fits 32 bits (flush keeps
-                // `acc_bits ≤ 56`, the writer's fast-path limit), which
-                // locally built books guarantee (`BUILD_MAX_LEN = 32`);
-                // deserialized books may carry longer codes and take the
-                // one-at-a-time path.
+                // The hot path: one table load per symbol, concatenated
+                // into a **local accumulator** that spills through the
+                // writer only when it cannot take the next code.
+                // MSB-first concatenation is associative, so flushing
+                // `acc_bits` accumulated bits in one `write_bits` call
+                // produces the identical byte stream as symbol-at-a-time
+                // writes while amortising the writer's shift/flush
+                // bookkeeping over dozens of symbols (low-entropy SZ code
+                // streams average ~1–2 bits per symbol).  Every code fits
+                // 32 bits ([`BUILD_MAX_LEN`] bounds built and read books
+                // alike), so a flush keeps `acc_bits ≤ 56`, the writer's
+                // fast-path limit.
+                //
+                // The table flattens slot -> packed code (a zero entry
+                // means the symbol is absent: present codes always have a
+                // non-zero length byte).  It covers only the book's symbol
+                // range, so building it is cheap next to the symbol scan
+                // it accelerates.
                 let min_sym = *min_sym;
-                let lookup = |s: u32| -> Result<u64> {
-                    // Symbols below `min_sym` wrap to a huge index and fall
-                    // out of `slots` bounds, taking the error path.
-                    let slot = slots
+                let lut: Vec<u64> = slots
+                    .iter()
+                    .map(|&slot| {
+                        if slot == 0 {
+                            0
+                        } else {
+                            self.packed[(slot - 1) as usize]
+                        }
+                    })
+                    .collect();
+                let mut acc: u64 = 0;
+                let mut acc_bits: u32 = 0;
+                for &s in symbols {
+                    // Symbols below `min_sym` wrap to a huge index and
+                    // fall out of `lut` bounds, taking the error path.
+                    let pc = lut
                         .get(s.wrapping_sub(min_sym) as usize)
                         .copied()
                         .unwrap_or(0);
-                    if slot == 0 {
+                    if pc == 0 {
                         return Err(Self::missing_symbol(s));
                     }
-                    Ok(self.packed[(slot - 1) as usize])
-                };
-                if self.max_len <= 32 {
-                    // Flatten slot -> packed into one table so the per-
-                    // symbol lookup is a single load (a zero entry means
-                    // the symbol is absent: present codes always have a
-                    // non-zero length byte).  The table covers only the
-                    // book's symbol range, so building it is cheap next
-                    // to the symbol scan it accelerates.
-                    let lut: Vec<u64> = slots
-                        .iter()
-                        .map(|&slot| {
-                            if slot == 0 {
-                                0
-                            } else {
-                                self.packed[(slot - 1) as usize]
-                            }
-                        })
-                        .collect();
-                    let mut acc: u64 = 0;
-                    let mut acc_bits: u32 = 0;
-                    for &s in symbols {
-                        let pc = lut
-                            .get(s.wrapping_sub(min_sym) as usize)
-                            .copied()
-                            .unwrap_or(0);
-                        if pc == 0 {
-                            return Err(Self::missing_symbol(s));
-                        }
-                        let len = (pc & 0xFF) as u32;
-                        if acc_bits + len > 56 {
-                            writer.write_bits(acc, acc_bits as u8);
-                            acc = 0;
-                            acc_bits = 0;
-                        }
-                        acc = (acc << len) | (pc >> 8);
-                        acc_bits += len;
-                    }
-                    if acc_bits > 0 {
+                    let len = (pc & 0xFF) as u32;
+                    if acc_bits + len > 56 {
                         writer.write_bits(acc, acc_bits as u8);
+                        acc = 0;
+                        acc_bits = 0;
                     }
-                } else {
-                    for &s in symbols {
-                        let pc = lookup(s)?;
-                        writer.write_bits(pc >> 8, (pc & 0xFF) as u8);
-                    }
+                    acc = (acc << len) | (pc >> 8);
+                    acc_bits += len;
+                }
+                if acc_bits > 0 {
+                    writer.write_bits(acc, acc_bits as u8);
                 }
             }
             EncodeIndex::Sparse(by_symbol) => {
@@ -502,41 +459,6 @@ impl HuffmanCode {
         Ok(())
     }
 
-    /// Serialises the code book in the legacy v1 format (`u32` count, then
-    /// explicit `(u32 symbol, u8 length)` pairs), as SZ stream version 3
-    /// blobs embed it.
-    pub fn write_table(&self, buf: &mut Vec<u8>) {
-        bytes::put_u32(buf, self.lengths.len() as u32);
-        for &(sym, len) in &self.lengths {
-            bytes::put_u32(buf, sym);
-            buf.push(len);
-        }
-    }
-
-    /// Reads a legacy v1 code book previously serialised by
-    /// [`HuffmanCode::write_table`].
-    ///
-    /// # Errors
-    /// Returns [`CompressError::Corrupt`] if the table is truncated or
-    /// internally inconsistent.
-    pub fn read_table(buf: &[u8], pos: &mut usize) -> Result<Self> {
-        let n = bytes::get_u32(buf, pos)? as usize;
-        // Each entry takes 5 bytes, bounding `n` by the remaining stream —
-        // checked before the reserve so corrupt counts cannot OOM.
-        if n > buf.len().saturating_sub(*pos) / 5 {
-            return Err(CompressError::Corrupt(
-                "Huffman table count exceeds stream length".into(),
-            ));
-        }
-        let mut lengths = Vec::with_capacity(n);
-        for _ in 0..n {
-            let sym = bytes::get_u32(buf, pos)?;
-            let len = bytes::get_slice(buf, pos, 1)?[0];
-            lengths.push((sym, len));
-        }
-        Self::from_lengths_checked(lengths)
-    }
-
     /// Serialises the code book in the compact v2 format: max length, one
     /// varint code count per length, then the symbols in canonical order
     /// (absolute varint for the first symbol of each length group,
@@ -566,7 +488,7 @@ impl HuffmanCode {
     /// internally inconsistent.
     pub fn read_table_v2(buf: &[u8], pos: &mut usize) -> Result<Self> {
         let max_len = bytes::get_slice(buf, pos, 1)?[0];
-        if max_len == 0 || max_len > MAX_CODE_LEN {
+        if max_len == 0 || max_len > BUILD_MAX_LEN {
             return Err(CompressError::Corrupt(format!(
                 "invalid maximum code length {max_len}"
             )));
@@ -610,7 +532,7 @@ impl HuffmanCode {
 
 /// Counts symbol frequencies and builds a code book: a dense `Vec`
 /// histogram when the symbol span is small (the SZ quantization-code common
-/// case), a `HashMap` otherwise.
+/// case), a `BTreeMap` otherwise.
 fn code_for(symbols: &[u32]) -> HuffmanCode {
     let (mut min, mut max) = (u32::MAX, 0u32);
     for &s in symbols {
@@ -746,59 +668,6 @@ pub fn decode_block(buf: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
     Ok(out)
 }
 
-/// Encodes a symbol stream in the legacy v1 blob format (`u64` count,
-/// explicit table, `u64` byte length).  Only used to fabricate SZ v3
-/// streams for backwards-compatibility tests.
-#[doc(hidden)]
-pub fn encode_block_legacy(symbols: &[u32]) -> Vec<u8> {
-    let mut out = Vec::new();
-    bytes::put_u64(&mut out, symbols.len() as u64);
-    if symbols.is_empty() {
-        return out;
-    }
-    let code = code_for(symbols);
-    code.write_table(&mut out);
-    let mut writer = BitWriter::new();
-    code.encode(symbols, &mut writer)
-        .expect("all symbols are in the book");
-    let bits = writer.into_bytes();
-    bytes::put_u64(&mut out, bits.len() as u64);
-    out.extend_from_slice(&bits);
-    out
-}
-
-/// Decodes a legacy v1 blob (as embedded in SZ version-3 streams),
-/// appending the symbols to `out` (cleared first).
-///
-/// # Errors
-/// Returns [`CompressError::Corrupt`] for malformed blobs.
-pub fn decode_block_legacy_into(
-    buf: &[u8],
-    pos: &mut usize,
-    out: &mut Vec<u32>,
-) -> Result<()> {
-    out.clear();
-    let count = bytes::get_u64(buf, pos)? as usize;
-    if count == 0 {
-        return Ok(());
-    }
-    let code = HuffmanCode::read_table(buf, pos)?;
-    let nbytes = bytes::get_u64(buf, pos)? as usize;
-    let bits = bytes::get_slice(buf, pos, nbytes)?;
-    let mut reader = BitReader::new(bits);
-    code.decode_into(&mut reader, count, out)
-}
-
-/// Decodes a legacy v1 blob (as embedded in SZ version-3 streams).
-///
-/// # Errors
-/// Returns [`CompressError::Corrupt`] for malformed blobs.
-pub fn decode_block_legacy(buf: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
-    let mut out = Vec::new();
-    decode_block_legacy_into(buf, pos, &mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -809,12 +678,6 @@ mod tests {
         let back = decode_block(&blob, &mut pos).unwrap();
         assert_eq!(back, symbols);
         assert_eq!(pos, blob.len());
-
-        let legacy = encode_block_legacy(symbols);
-        let mut pos = 0;
-        let back = decode_block_legacy(&legacy, &mut pos).unwrap();
-        assert_eq!(back, symbols);
-        assert_eq!(pos, legacy.len());
     }
 
     #[test]
@@ -873,15 +736,15 @@ mod tests {
     fn pathological_depths_are_length_limited() {
         // Fibonacci weights build the deepest possible Huffman tree; with
         // ~50 symbols the unlimited tree would exceed BUILD_MAX_LEN.
-        let mut freq = HashMap::new();
+        let mut freq = Vec::new();
         let (mut a, mut b) = (1u64, 1u64);
         for s in 0..50u32 {
-            freq.insert(s, a);
+            freq.push((s, a));
             let next = a.saturating_add(b);
             a = b;
             b = next;
         }
-        let code = HuffmanCode::from_frequencies(&freq);
+        let code = HuffmanCode::from_sorted_frequencies(&freq);
         assert!(code.max_len <= BUILD_MAX_LEN);
         assert_eq!(code.n_symbols(), 50);
 
@@ -908,11 +771,6 @@ mod tests {
             let res = decode_block(&blob[..cut], &mut pos);
             assert!(res.is_err(), "cut at {cut} should fail");
         }
-        let legacy = encode_block_legacy(&[1, 2, 3, 4, 5, 1, 1, 1]);
-        for cut in [4usize, 9, legacy.len() - 1] {
-            let mut pos = 0;
-            assert!(decode_block_legacy(&legacy[..cut], &mut pos).is_err());
-        }
     }
 
     #[test]
@@ -924,12 +782,6 @@ mod tests {
         blob.extend_from_slice(&[1, 1, 0, 1, 0xAA]);
         let mut pos = 0;
         assert!(decode_block(&blob, &mut pos).is_err());
-
-        let mut legacy = Vec::new();
-        bytes::put_u64(&mut legacy, 1u64 << 60);
-        legacy.extend_from_slice(&[0xFF; 16]);
-        let mut pos = 0;
-        assert!(decode_block_legacy(&legacy, &mut pos).is_err());
     }
 
     #[test]
@@ -944,68 +796,65 @@ mod tests {
         assert!(HuffmanCode::read_table_v2(&buf, &mut pos).is_err());
     }
 
+    /// Reads a hand-built v2 table and returns its error message.
+    fn table_error(buf: &[u8]) -> String {
+        let mut pos = 0;
+        match HuffmanCode::read_table_v2(buf, &mut pos) {
+            Err(CompressError::Corrupt(msg)) => msg,
+            other => panic!("table must be corrupt, got {other:?}"),
+        }
+    }
+
     #[test]
     fn kraft_violating_table_rejected() {
-        // Three 1-bit codes cannot coexist.
-        let mut buf = Vec::new();
-        bytes::put_u32(&mut buf, 3);
-        for sym in 0..3u32 {
-            bytes::put_u32(&mut buf, sym);
-            buf.push(1);
-        }
-        let mut pos = 0;
-        assert!(HuffmanCode::read_table(&buf, &mut pos).is_err());
+        // counts[1] = 3: three 1-bit codes cannot coexist.
+        let mut buf = vec![1u8];
+        bytes::put_varint(&mut buf, 3);
+        buf.extend_from_slice(&[0, 0, 0]); // symbols 0, 1, 2
+        assert!(table_error(&buf).contains("Kraft"));
     }
 
     #[test]
     fn duplicate_symbol_table_rejected() {
-        let mut buf = Vec::new();
-        bytes::put_u32(&mut buf, 2);
-        for _ in 0..2 {
-            bytes::put_u32(&mut buf, 7);
-            buf.push(1);
-        }
-        let mut pos = 0;
-        assert!(HuffmanCode::read_table(&buf, &mut pos).is_err());
+        // Symbol 7 at length 1 and again at length 2.
+        let mut buf = vec![2u8];
+        bytes::put_varint(&mut buf, 1);
+        bytes::put_varint(&mut buf, 1);
+        bytes::put_varint(&mut buf, 7);
+        bytes::put_varint(&mut buf, 7);
+        assert!(table_error(&buf).contains("duplicate symbol"));
+    }
+
+    #[test]
+    fn overlong_max_len_rejected() {
+        // No code is longer than BUILD_MAX_LEN = 32 bits.
+        let mut buf = vec![33u8];
+        buf.extend_from_slice(&[0u8; 32]);
+        buf.extend_from_slice(&[1, 5]);
+        assert!(table_error(&buf).contains("maximum code length 33"));
     }
 
     #[test]
     fn table_roundtrip() {
-        let mut freq = HashMap::new();
-        freq.insert(10u32, 5u64);
-        freq.insert(20u32, 1u64);
-        freq.insert(30u32, 1u64);
-        let code = HuffmanCode::from_frequencies(&freq);
+        let code = HuffmanCode::from_sorted_frequencies(&[(10, 5), (20, 1), (30, 1)]);
         assert_eq!(code.n_symbols(), 3);
         let mut buf = Vec::new();
-        code.write_table(&mut buf);
+        code.write_table_v2(&mut buf);
         let mut pos = 0;
-        let code2 = HuffmanCode::read_table(&buf, &mut pos).unwrap();
-        assert_eq!(code2.n_symbols(), 3);
-
-        let mut buf2 = Vec::new();
-        code.write_table_v2(&mut buf2);
-        assert!(buf2.len() < buf.len(), "v2 table should be more compact");
-        let mut pos2 = 0;
-        let code3 = HuffmanCode::read_table_v2(&buf2, &mut pos2).unwrap();
-        assert_eq!(pos2, buf2.len());
-        assert_eq!(code3.n_symbols(), 3);
+        let read = HuffmanCode::read_table_v2(&buf, &mut pos).unwrap();
+        assert_eq!(pos, buf.len());
+        assert_eq!(read.n_symbols(), 3);
 
         let mut w = BitWriter::new();
         code.encode(&[10, 20, 30, 10], &mut w).unwrap();
         let bytes = w.into_bytes();
-        for other in [&code2, &code3] {
-            let mut r = BitReader::new(&bytes);
-            assert_eq!(other.decode(&mut r, 4).unwrap(), vec![10, 20, 30, 10]);
-        }
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(read.decode(&mut r, 4).unwrap(), vec![10, 20, 30, 10]);
     }
 
     #[test]
     fn missing_symbol_rejected_on_encode() {
-        let mut freq = HashMap::new();
-        freq.insert(1u32, 10u64);
-        freq.insert(2u32, 10u64);
-        let code = HuffmanCode::from_frequencies(&freq);
+        let code = HuffmanCode::from_sorted_frequencies(&[(1, 10), (2, 10)]);
         let mut w = BitWriter::new();
         assert!(code.encode(&[3], &mut w).is_err());
         assert!(code.encode(&[0], &mut w).is_err());

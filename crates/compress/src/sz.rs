@@ -29,37 +29,39 @@
 //! value-range-relative bounds are mapped to an absolute bound
 //! `eb·(max − min)`.
 //!
-//! ## Stream versions
+//! ## Stream format (version 5)
 //!
-//! | version | layout                                                        |
-//! |---------|---------------------------------------------------------------|
-//! | 3       | block-split; per block `u64`-framed legacy Huffman blob + `u64` unpredictable count (decode-only) |
-//! | 4       | block-split; per block v2 Huffman blob + varint unpredictable count (current) |
-//! | 5       | v4 plus a per-variable [`DeltaMode`] byte before the block container: codes may be **temporal deltas** against the prior snapshot's codes, unpredictable values XOR-coded against the prior snapshot's bits (8 Huffman byte planes), and point-wise-relative zero/sign bitmaps either carried raw or inherited from the previous log link (see [`SzCompressor::compress_temporal_into`]) |
+//! ```text
+//! [u8 codec = 1][u8 version = 5][u64 n][u8 transform][f64 bound][u8 DeltaMode]
+//! [point-wise-relative side channels][u64 nblocks][u64 len × nblocks][blocks …]
+//! ```
 //!
-//! Version-3 streams written by earlier releases decode bit-identically;
-//! version 4 is what [`SzCompressor::compress`] emits; version 5 is what
-//! the temporal (anchored-delta-chain) entry points emit.  A version-5
-//! stream whose mode is [`DeltaMode::None`] is a self-contained **anchor**
-//! and decodes through the stateless [`LossyCompressor::decompress`];
-//! delta streams need their chain and decode through
-//! [`SzCompressor::decompress_chain`].
+//! Each block carries a Huffman v2 blob of its quantization codes, a
+//! varint unpredictable count and the verbatim values.  The per-variable
+//! [`DeltaMode`] byte says whether those codes are direct (a self-contained
+//! **anchor**) or **temporal deltas** against the prior snapshot's codes;
+//! a delta stream XOR-codes its unpredictable values against the prior
+//! snapshot's bits (8 Huffman byte planes) and may inherit its
+//! point-wise-relative zero/sign bitmaps from the previous log link (see
+//! [`SzCompressor::compress_temporal_into`]).
+//!
+//! Version 5 is the only version written or read.  The stateless
+//! [`LossyCompressor::compress`] is the one-link case of the temporal
+//! writer (a forced anchor with no retained state), and
+//! [`LossyCompressor::decompress`] is the one-link case of
+//! [`SzCompressor::decompress_chain`]; delta streams need their chain.
 
 use crate::bitstream::{bytes, BitReader, BitWriter};
 use crate::delta::{self, DeltaMode};
 use crate::{huffman, parblock};
 use crate::{CompressError, Compressed, ErrorBound, LossyCompressor, Result};
+use std::borrow::Cow;
 use std::cell::RefCell;
 
 /// Codec id stored in the stream header.
 const CODEC_ID: u8 = 1;
-/// Stream-format version written by the stateless compressor.
-const VERSION: u8 = 4;
-/// Stream-format version written by the temporal (delta-chain) entry
-/// points; carries the per-variable [`DeltaMode`] header byte.
-const TEMPORAL_VERSION: u8 = 5;
-/// Oldest stream version the decompressor still reads.
-const MIN_VERSION: u8 = 3;
+/// The stream-format version, the only one written or read.
+const VERSION: u8 = 5;
 
 /// Half the number of quantization bins on each side of the zero bin.
 /// 65536 intervals matches SZ's default `max_quant_intervals`.
@@ -142,7 +144,7 @@ impl SzCompressor {
     /// all-zero on entry).  The predictor state starts from zero, so the
     /// block is decodable in isolation.
     ///
-    /// The version-4 formulation works on the integer grid: every value is
+    /// The quantizer works on the integer grid: every value is
     /// independently rounded to `r = round(x / 2eb)` and the bin codes are
     /// second differences of those integers.  Unlike the classic
     /// reconstruct-then-predict chain — which serialises one division, one
@@ -312,157 +314,12 @@ impl SzCompressor {
         (min_code, max_code)
     }
 
-    /// Core absolute-error-bound compression of a pre-transformed stream.
-    ///
-    /// The stream is cut into [`PAR_BLOCK`]-element blocks that are
-    /// predicted, quantized and Huffman-coded independently (and therefore
-    /// in parallel), then concatenated in block order behind a length
-    /// table:
-    ///
-    /// ```text
-    /// [u64 nblocks][u64 len × nblocks][block bytes …]
-    /// ```
-    fn compress_abs(values: &[f64], abs_eb: f64, out: &mut Vec<u8>) {
-        let n = values.len();
-        parblock::encode_blocks(out, n.div_ceil(PAR_BLOCK), |b| {
-            let start = b * PAR_BLOCK;
-            let end = ((b + 1) * PAR_BLOCK).min(n);
-            Self::encode_block_abs(&values[start..end], abs_eb)
-        });
-    }
-
-    /// Quantization + entropy coding of one block in the version-4 layout:
-    ///
-    /// ```text
-    /// [huffman v2 blob][varint n_unpred][f64 × n_unpred]
-    /// ```
-    fn encode_block_abs(values: &[f64], abs_eb: f64) -> Vec<u8> {
-        QUANT_SCRATCH.with(|q| {
-            UNPRED_SCRATCH.with(|u| {
-                HIST_SCRATCH.with(|h| {
-                    let quant = &mut q.borrow_mut();
-                    let unpred = &mut u.borrow_mut();
-                    let hist = &mut h.borrow_mut();
-                    if hist.is_empty() {
-                        hist.resize(N_CODES, 0);
-                    }
-                    let (lo, hi) = Self::quantize_block(values, abs_eb, quant, unpred, hist);
-                    let mut out = Vec::with_capacity(values.len() / 2 + 32);
-                    // The Huffman builder consumes the histogram and
-                    // zeroes the entries it used, keeping the scratch
-                    // all-zero for the next block; the live-code range
-                    // from quantization confines its scan to the
-                    // occupied span of the 65 538-entry table.
-                    huffman::encode_block_from_hist_range(quant, hist, lo, hi, &mut out);
-                    bytes::put_varint(&mut out, unpred.len() as u64);
-                    for v in unpred.iter() {
-                        bytes::put_f64(&mut out, *v);
-                    }
-                    out
-                })
-            })
-        })
-    }
-
-    /// Inverse of [`SzCompressor::compress_abs`]: reads the block length
-    /// table, then decodes the independent blocks in parallel and
-    /// concatenates them in block order.  `version` selects the per-block
-    /// layout (3 = legacy, 4 = current).
-    fn decompress_abs(
-        buf: &[u8],
-        pos: &mut usize,
-        n: usize,
-        abs_eb: f64,
-        version: u8,
-    ) -> Result<Vec<f64>> {
-        parblock::decode_blocks(buf, pos, n.div_ceil(PAR_BLOCK), n, "SZ", |b, block| {
-            let block_n = (((b + 1) * PAR_BLOCK).min(n)) - b * PAR_BLOCK;
-            Self::decode_block_abs(block, block_n, abs_eb, version)
-        })
-    }
-
-    /// Inverse of [`SzCompressor::encode_block_abs`] (and of the legacy
-    /// version-3 block encoder).
-    fn decode_block_abs(block: &[u8], n: usize, abs_eb: f64, version: u8) -> Result<Vec<f64>> {
-        QUANT_SCRATCH.with(|q| {
-            let quant = &mut q.borrow_mut();
-            let pos = &mut 0usize;
-            let n_unpred = if version >= 4 {
-                huffman::decode_block_into(block, pos, quant)?;
-                bytes::get_varint(block, pos)? as usize
-            } else {
-                // v3 framed the Huffman blob with a redundant byte length.
-                let huff_len = bytes::get_u64(block, pos)? as usize;
-                let huff_slice = bytes::get_slice(block, pos, huff_len)?;
-                let mut hpos = 0usize;
-                huffman::decode_block_legacy_into(huff_slice, &mut hpos, quant)?;
-                bytes::get_u64(block, pos)? as usize
-            };
-            if quant.len() != n {
-                return Err(CompressError::Corrupt(format!(
-                    "expected {n} quantization codes, found {}",
-                    quant.len()
-                )));
-            }
-            // The unpredictable values are read straight off the stream
-            // slice; the length pre-check keeps corrupt counts from
-            // over-allocating or wrapping.
-            let unpred_len = n_unpred
-                .checked_mul(8)
-                .ok_or_else(|| CompressError::Corrupt("unpredictable count overflow".into()))?;
-            let unpred_bytes = bytes::get_slice(block, pos, unpred_len)?;
-            if version >= 4 {
-                return Self::reconstruct_block_v4(quant, unpred_bytes, abs_eb);
-            }
-
-            // Legacy v3 reconstruct-then-predict chain, kept
-            // bit-identical to the decoder that shipped with v3.
-            let mut unpred_iter = unpred_bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")));
-            let two_eb = 2.0 * abs_eb;
-            let mut out = Vec::with_capacity(n);
-            let mut prev = 0.0f64;
-            let mut prev2 = 0.0f64;
-            for (i, &code) in quant.iter().enumerate() {
-                let value = if code == 0 {
-                    unpred_iter.next().ok_or_else(|| {
-                        CompressError::Corrupt("missing unpredictable value".into())
-                    })?
-                } else {
-                    let bin = (i64::from(code) - 1 - QUANT_RADIUS) as f64;
-                    let pred = if i >= 2 {
-                        2.0 * prev - prev2
-                    } else if i == 1 {
-                        prev
-                    } else {
-                        0.0
-                    };
-                    pred + bin * two_eb
-                };
-                prev2 = prev;
-                prev = value;
-                out.push(value);
-            }
-            Ok(out)
-        })
-    }
-
-    /// Grid-space value reconstruction of one version-4/5 block from its
-    /// (fully un-delta'd) quantization codes and verbatim-value bytes —
-    /// the exact loop the v4 decoder runs, factored out so the delta-chain
-    /// decoder reconstructs the final link through the identical code path
-    /// (bit-identical restarts by construction).
-    fn reconstruct_block_v4(quant: &[u32], unpred_bytes: &[u8], abs_eb: f64) -> Result<Vec<f64>> {
-        let mut unpred_iter = unpred_bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")));
-        Self::reconstruct_block_from(quant, &mut unpred_iter, abs_eb)
-    }
-
-    /// [`SzCompressor::reconstruct_block_v4`] over an arbitrary source of
-    /// unpredictable values (the delta-chain decoder feeds the un-XORed
-    /// tail it materialized instead of raw stream bytes).
+    /// Grid-space value reconstruction of one block from its (fully
+    /// un-delta'd) quantization codes and its unpredictable values, in
+    /// order.  Anchors and the final link of a delta chain both
+    /// reconstruct through this one loop, so a chain replay is
+    /// bit-identical to a direct decode of the same snapshot by
+    /// construction.
     fn reconstruct_block_from(
         quant: &[u32],
         unpred_iter: &mut dyn Iterator<Item = f64>,
@@ -499,80 +356,8 @@ impl SzCompressor {
         Ok(out)
     }
 
-    /// Shared body of [`LossyCompressor::compress`] /
-    /// [`LossyCompressor::compress_into`]: appends a complete stream to
-    /// `out`.
-    fn compress_to(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<()> {
-        let eb = bound.value();
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(CompressError::InvalidBound(eb));
-        }
-
-        out.reserve(data.len() / 2 + 64);
-        out.push(CODEC_ID);
-        out.push(VERSION);
-        bytes::put_u64(out, data.len() as u64);
-
-        match bound {
-            ErrorBound::Abs(abs) => {
-                out.push(Transform::Identity as u8);
-                bytes::put_f64(out, abs);
-                Self::compress_abs(data, abs, out);
-            }
-            ErrorBound::ValueRangeRel(rel) => {
-                let (min, max) = min_max(data);
-                let range = (max - min).abs();
-                // Degenerate constant data: any positive bound works.
-                let abs = if range > 0.0 {
-                    rel * range
-                } else {
-                    rel.max(f64::MIN_POSITIVE)
-                };
-                out.push(Transform::Identity as u8);
-                bytes::put_f64(out, abs);
-                Self::compress_abs(data, abs, out);
-            }
-            ErrorBound::PointwiseRel(rel) => {
-                out.push(Transform::Log as u8);
-                // Bound in log space guaranteeing |x'/x - 1| <= rel:
-                // use ln(1+rel) and note exp(-d) >= 1-rel for d = ln(1+rel).
-                let log_eb = rel.ln_1p();
-                if !(log_eb.is_finite() && log_eb > 0.0) {
-                    return Err(CompressError::InvalidBound(rel));
-                }
-                bytes::put_f64(out, rel);
-
-                // Sign bits + zero flags side channel, then log magnitudes.
-                let mut signs = BitWriter::with_capacity(data.len() / 8 + 1);
-                let mut zeros = BitWriter::with_capacity(data.len() / 8 + 1);
-                let mut logs: Vec<f64> = Vec::with_capacity(data.len());
-                for &x in data {
-                    zeros.write_bit(x == 0.0);
-                    signs.write_bit(x.is_sign_negative());
-                    if x != 0.0 {
-                        logs.push(x.abs().ln());
-                    }
-                }
-                let zero_bytes = zeros.into_bytes();
-                let sign_bytes = signs.into_bytes();
-                bytes::put_u64(out, zero_bytes.len() as u64);
-                out.extend_from_slice(&zero_bytes);
-                bytes::put_u64(out, sign_bytes.len() as u64);
-                out.extend_from_slice(&sign_bytes);
-                bytes::put_u64(out, logs.len() as u64);
-                Self::compress_abs(&logs, log_eb, out);
-            }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Temporal (anchored delta-chain) layer — stream version 5.
-    // ------------------------------------------------------------------
-
-    /// Parses the common stream prologue (any supported version).  For
-    /// version-5 streams the per-variable [`DeltaMode`] byte follows the
-    /// error bound; older versions are implicitly [`DeltaMode::None`].
+    /// Parses the stream prologue up to the block container (or the
+    /// point-wise-relative side channels that precede it).
     fn parse_header(buf: &[u8], pos: &mut usize) -> Result<StreamHeader> {
         let codec = bytes::get_slice(buf, pos, 1)?[0];
         if codec != CODEC_ID {
@@ -582,7 +367,7 @@ impl SzCompressor {
             });
         }
         let version = bytes::get_slice(buf, pos, 1)?[0];
-        if !(MIN_VERSION..=TEMPORAL_VERSION).contains(&version) {
+        if version != VERSION {
             return Err(CompressError::Corrupt(format!(
                 "unsupported SZ stream version {version}"
             )));
@@ -590,16 +375,10 @@ impl SzCompressor {
         let n = bytes::get_u64(buf, pos)? as usize;
         let transform = bytes::get_slice(buf, pos, 1)?[0];
         let eb = bytes::get_f64(buf, pos)?;
-        let mode = if version >= TEMPORAL_VERSION {
-            let tag = bytes::get_slice(buf, pos, 1)?[0];
-            DeltaMode::from_u8(tag).ok_or_else(|| {
-                CompressError::Corrupt(format!("unknown delta mode tag {tag}"))
-            })?
-        } else {
-            DeltaMode::None
-        };
+        let tag = bytes::get_slice(buf, pos, 1)?[0];
+        let mode = DeltaMode::from_u8(tag)
+            .ok_or_else(|| CompressError::Corrupt(format!("unknown delta mode tag {tag}")))?;
         Ok(StreamHeader {
-            version,
             n,
             transform,
             eb,
@@ -608,40 +387,32 @@ impl SzCompressor {
     }
 
     /// Reads the point-wise-relative side channels (`zero` / `sign`
-    /// bitmaps and the log-magnitude count) off the stream.
+    /// bitmaps and the log-magnitude count) off the stream.  An anchor
+    /// carries each bitmap raw (`u64` length + bytes); a delta stream
+    /// prefixes each with a `u8` flag: 0 = carried raw, 1 = inherited from
+    /// the previous log link of the chain (`prev`).
     fn read_log_side_channels<'a>(
         buf: &'a [u8],
         pos: &mut usize,
-    ) -> Result<(&'a [u8], &'a [u8], usize)> {
-        let zero_len = bytes::get_u64(buf, pos)? as usize;
-        let zero_bytes = bytes::get_slice(buf, pos, zero_len)?;
-        let sign_len = bytes::get_u64(buf, pos)? as usize;
-        let sign_bytes = bytes::get_slice(buf, pos, sign_len)?;
-        let n_logs = bytes::get_u64(buf, pos)? as usize;
-        Ok((zero_bytes, sign_bytes, n_logs))
-    }
-
-    /// Reads a delta stream's point-wise-relative side channels: each
-    /// bitmap is either flagged as inherited from the previous log link
-    /// of the chain or carried raw (`u8 flag`, then the raw section when
-    /// the flag is 0).
-    fn read_log_side_channels_delta(
-        buf: &[u8],
-        pos: &mut usize,
         idx: usize,
-        prev: Option<&(Vec<u8>, Vec<u8>)>,
-    ) -> Result<(Vec<u8>, Vec<u8>, usize)> {
+        mode: DeltaMode,
+        prev: Option<&'a (Vec<u8>, Vec<u8>)>,
+    ) -> Result<(Bitmaps<'a>, usize)> {
         let read_bitmap = |pos: &mut usize,
-                               which: &str,
-                               prev_bytes: Option<&[u8]>|
-         -> Result<Vec<u8>> {
-            let flag = bytes::get_slice(buf, pos, 1)?[0];
+                           which: &str,
+                           prev_bytes: Option<&'a Vec<u8>>|
+         -> Result<Cow<'a, [u8]>> {
+            let flag = if mode == DeltaMode::None {
+                0
+            } else {
+                bytes::get_slice(buf, pos, 1)?[0]
+            };
             match flag {
                 0 => {
                     let len = bytes::get_u64(buf, pos)? as usize;
-                    Ok(bytes::get_slice(buf, pos, len)?.to_vec())
+                    Ok(Cow::Borrowed(bytes::get_slice(buf, pos, len)?))
                 }
-                1 => prev_bytes.map(<[u8]>::to_vec).ok_or_else(|| {
+                1 => prev_bytes.map(|p| Cow::Borrowed(p.as_slice())).ok_or_else(|| {
                     CompressError::Corrupt(format!(
                         "chain link {idx}: inherits its {which} bitmap with no prior log link"
                     ))
@@ -651,10 +422,10 @@ impl SzCompressor {
                 ))),
             }
         };
-        let zero = read_bitmap(pos, "zero", prev.map(|p| p.0.as_slice()))?;
-        let sign = read_bitmap(pos, "sign", prev.map(|p| p.1.as_slice()))?;
+        let zero = read_bitmap(pos, "zero", prev.map(|p| &p.0))?;
+        let sign = read_bitmap(pos, "sign", prev.map(|p| &p.1))?;
         let n_logs = bytes::get_u64(buf, pos)? as usize;
-        Ok((zero, sign, n_logs))
+        Ok(((zero, sign), n_logs))
     }
 
     /// Reassembles point-wise-relative values from the decoded log
@@ -724,44 +495,26 @@ impl SzCompressor {
 
         out.reserve(data.len() / 2 + 64);
         out.push(CODEC_ID);
-        out.push(TEMPORAL_VERSION);
+        out.push(VERSION);
         bytes::put_u64(out, data.len() as u64);
 
         // The mode byte sits right after the error bound for every
         // transform; it is decided after the candidate encodings are
         // sized, so a placeholder is written now and patched below.
         let mode = match bound {
-            ErrorBound::Abs(abs) => {
-                out.push(Transform::Identity as u8);
-                bytes::put_f64(out, abs);
-                let mode_pos = out.len();
-                out.push(DeltaMode::None as u8);
-                let mode = Self::compress_abs_temporal(
-                    data,
-                    abs,
-                    StateKey {
-                        transform: Transform::Identity as u8,
-                        n_codes: data.len(),
-                    },
-                    max_order,
-                    force_anchor,
-                    0,
-                    0,
-                    state,
-                    out,
-                );
-                state.zeros1.clear();
-                state.signs1.clear();
-                out[mode_pos] = mode as u8;
-                mode
-            }
-            ErrorBound::ValueRangeRel(rel) => {
-                let (min, max) = min_max(data);
-                let range = (max - min).abs();
-                let abs = if range > 0.0 {
-                    rel * range
-                } else {
-                    rel.max(f64::MIN_POSITIVE)
+            ErrorBound::Abs(_) | ErrorBound::ValueRangeRel(_) => {
+                let abs = match bound {
+                    ErrorBound::ValueRangeRel(rel) => {
+                        let (min, max) = min_max(data);
+                        let range = (max - min).abs();
+                        // Degenerate constant data: any positive bound works.
+                        if range > 0.0 {
+                            rel * range
+                        } else {
+                            rel.max(f64::MIN_POSITIVE)
+                        }
+                    }
+                    _ => eb,
                 };
                 out.push(Transform::Identity as u8);
                 bytes::put_f64(out, abs);
@@ -788,6 +541,8 @@ impl SzCompressor {
             }
             ErrorBound::PointwiseRel(rel) => {
                 out.push(Transform::Log as u8);
+                // Bound in log space guaranteeing |x'/x - 1| <= rel:
+                // use ln(1+rel) and note exp(-d) >= 1-rel for d = ln(1+rel).
                 let log_eb = rel.ln_1p();
                 if !(log_eb.is_finite() && log_eb > 0.0) {
                     return Err(CompressError::InvalidBound(rel));
@@ -873,12 +628,13 @@ impl SzCompressor {
         Ok(mode)
     }
 
-    /// Temporal counterpart of [`SzCompressor::compress_abs`]: quantizes
-    /// each block once, entropy-codes every available candidate (direct /
-    /// order-1 / order-2) in the same parallel pass, writes the framed
-    /// container of the stream-wide winning blocks, rotates this
-    /// snapshot's codes into `state`, and returns the winning mode (the
-    /// caller patches it into the header's mode byte).
+    /// Absolute-error-bound coding of a (pre-transformed) value stream:
+    /// quantizes each [`PAR_BLOCK`]-element block once, entropy-codes
+    /// every available candidate (direct / order-1 / order-2) in the same
+    /// parallel pass, writes the framed container of the stream-wide
+    /// winning blocks, rotates this snapshot's codes into `state`, and
+    /// returns the winning mode (the caller patches it into the header's
+    /// mode byte).
     /// `side_raw` / `side_delta` are the byte costs of the stream's side
     /// channels under direct and delta coding respectively (the Log
     /// transform's bitmaps inherit from the prior link when unchanged, so
@@ -1180,299 +936,230 @@ impl SzCompressor {
     /// quantization codes and unpredictable values (plus, for
     /// log-transformed streams, their zero/sign bitmaps, which later
     /// links may inherit) without reconstructing grid values; the final
-    /// link is reconstructed through the exact v4 decode path, so the
-    /// result is bit-identical to a direct decode of that snapshot.
+    /// link is reconstructed through the one grid-space loop every anchor
+    /// decodes through, so the result is bit-identical to a direct decode
+    /// of that snapshot.  A one-link chain is a plain anchor decode, which
+    /// is what [`LossyCompressor::decompress`] runs.
     ///
     /// # Errors
     /// Rejects empty chains, chains not starting at an anchor, order-2
-    /// links without two prior links, version/shape mismatches between
-    /// consecutive links, and any per-link corruption the stateless
-    /// decoder would reject.
+    /// links without two prior links, shape mismatches between
+    /// consecutive links, and any per-link corruption (wrong codec or
+    /// version, truncation, inconsistent counts).
     pub fn decompress_chain(&self, links: &[Compressed]) -> Result<Vec<f64>> {
-        let last = links
-            .last()
+        let (last, replay) = links
+            .split_last()
             .ok_or_else(|| CompressError::Corrupt("empty checkpoint chain".into()))?;
-        if links.len() == 1 {
-            return self.decompress(last);
-        }
-
-        let mut prev1: Vec<u32> = Vec::new();
-        let mut prev2: Vec<u32> = Vec::new();
-        // The previous link's unpredictable values (one per reserved bin
-        // in `prev1`): the base the next delta link's XOR tail codes
-        // against.
-        let mut prev_unpred: Vec<f64> = Vec::new();
-        // The previous log link's zero/sign bitmaps, which a delta link
-        // may inherit instead of carrying its own.
-        let mut prev_side: Option<(Vec<u8>, Vec<u8>)> = None;
-        let mut result = None;
-        for (idx, link) in links.iter().enumerate() {
-            let buf = &link.bytes;
+        let mut prior = ChainPrior::default();
+        for (idx, link) in replay.iter().enumerate() {
             let mut pos = 0usize;
-            let h = Self::parse_header(buf, &mut pos)?;
-            if h.n != link.n_elements {
-                return Err(CompressError::Corrupt(format!(
-                    "chain link {idx}: element count mismatch: header {}, metadata {}",
-                    h.n, link.n_elements
-                )));
-            }
-            if h.version < 4 {
-                return Err(CompressError::Corrupt(format!(
-                    "chain link {idx}: version-{} streams cannot appear in a delta chain",
-                    h.version
-                )));
-            }
-            if idx == 0 && h.mode != DeltaMode::None {
-                return Err(CompressError::Corrupt(
-                    "delta chain must start at an anchor".into(),
-                ));
-            }
-            if h.mode == DeltaMode::Order2 && idx < 2 {
-                return Err(CompressError::Corrupt(format!(
-                    "chain link {idx}: order-2 delta without two prior links"
-                )));
-            }
-            let final_link = idx + 1 == links.len();
-
-            match h.transform {
-                t if t == Transform::Identity as u8 => {
-                    prev_side = None;
-                    Self::check_chain_shape(idx, h.mode, h.n, &prev1, &prev2)?;
-                    if final_link {
-                        result = Some(Self::decode_final_abs(
-                            buf,
-                            &mut pos,
-                            h.n,
-                            h.eb,
-                            h.mode,
-                            &prev1,
-                            &prev2,
-                            &prev_unpred,
-                        )?);
-                    } else {
-                        let (codes, unpred) = Self::decode_codes(
-                            buf,
-                            &mut pos,
-                            h.n,
-                            h.mode,
-                            &prev1,
-                            &prev2,
-                            &prev_unpred,
-                        )?;
-                        std::mem::swap(&mut prev1, &mut prev2);
-                        prev1 = codes;
-                        prev_unpred = unpred;
-                    }
-                }
-                t if t == Transform::Log as u8 => {
-                    let (zero_bytes, sign_bytes, n_logs) = if h.mode == DeltaMode::None {
-                        let (z, s, n) = Self::read_log_side_channels(buf, &mut pos)?;
-                        (z.to_vec(), s.to_vec(), n)
-                    } else {
-                        Self::read_log_side_channels_delta(
-                            buf,
-                            &mut pos,
-                            idx,
-                            prev_side.as_ref(),
-                        )?
-                    };
-                    let log_eb = h.eb.ln_1p();
-                    Self::check_chain_shape(idx, h.mode, n_logs, &prev1, &prev2)?;
-                    if final_link {
-                        let logs = Self::decode_final_abs(
-                            buf,
-                            &mut pos,
-                            n_logs,
-                            log_eb,
-                            h.mode,
-                            &prev1,
-                            &prev2,
-                            &prev_unpred,
-                        )?;
-                        result = Some(Self::expand_log(&zero_bytes, &sign_bytes, logs, h.n)?);
-                    } else {
-                        let (codes, unpred) = Self::decode_codes(
-                            buf,
-                            &mut pos,
-                            n_logs,
-                            h.mode,
-                            &prev1,
-                            &prev2,
-                            &prev_unpred,
-                        )?;
-                        std::mem::swap(&mut prev1, &mut prev2);
-                        prev1 = codes;
-                        prev_unpred = unpred;
-                    }
-                    prev_side = Some((zero_bytes, sign_bytes));
-                }
-                other => {
-                    return Err(CompressError::Corrupt(format!(
-                        "unknown transform tag {other}"
-                    )))
-                }
-            }
+            let head = Self::open_link(idx, link, &mut pos, &prior)?;
+            let (codes, unpred) =
+                Self::decode_codes(&link.bytes, &mut pos, head.code_n, head.mode, &prior)?;
+            let side = head.side.map(|(z, s)| (z.into_owned(), s.into_owned()));
+            prior.codes2 = std::mem::replace(&mut prior.codes1, codes);
+            prior.unpred = unpred;
+            prior.side = side;
         }
-        Ok(result.expect("non-empty chain produced a final link"))
+        let mut pos = 0usize;
+        let head = Self::open_link(replay.len(), last, &mut pos, &prior)?;
+        let values = Self::decode_final(
+            &last.bytes,
+            &mut pos,
+            head.code_n,
+            head.abs_eb,
+            head.mode,
+            &prior,
+        )?;
+        match head.side {
+            None => Ok(values),
+            Some((zero, sign)) => Self::expand_log(&zero, &sign, values, head.n),
+        }
     }
 
-    /// Validates that the retained prior-code buffers match the shape a
-    /// delta link expects (anchors need no priors).
-    fn check_chain_shape(
+    /// Parses chain link `idx`'s header and point-wise-relative side
+    /// channels (leaving `pos` at its block container) and checks that it
+    /// fits the chain: element count, anchor first, enough prior links for
+    /// its delta order, and prior codes of its shape.
+    fn open_link<'a>(
         idx: usize,
-        mode: DeltaMode,
-        code_n: usize,
-        prev1: &[u32],
-        prev2: &[u32],
-    ) -> Result<()> {
-        if mode.prior_snapshots() >= 1 && prev1.len() != code_n {
+        link: &'a Compressed,
+        pos: &mut usize,
+        prior: &'a ChainPrior,
+    ) -> Result<LinkHead<'a>> {
+        let buf = &link.bytes;
+        let h = Self::parse_header(buf, pos)?;
+        if h.n != link.n_elements {
             return Err(CompressError::Corrupt(format!(
-                "chain link {idx}: delta stream over {code_n} codes, prior has {}",
-                prev1.len()
+                "chain link {idx}: element count mismatch: header {}, metadata {}",
+                h.n, link.n_elements
             )));
         }
-        if mode.prior_snapshots() >= 2 && prev2.len() != code_n {
+        if idx == 0 && h.mode != DeltaMode::None {
             return Err(CompressError::Corrupt(format!(
-                "chain link {idx}: order-2 stream over {code_n} codes, second prior has {}",
-                prev2.len()
+                "{:?} delta stream without its anchor: a chain must start at an anchor",
+                h.mode
+            )));
+        }
+        if h.mode == DeltaMode::Order2 && idx < 2 {
+            return Err(CompressError::Corrupt(format!(
+                "chain link {idx}: order-2 delta without two prior links"
+            )));
+        }
+        let (code_n, abs_eb, side) = match h.transform {
+            t if t == Transform::Identity as u8 => (h.n, h.eb, None),
+            t if t == Transform::Log as u8 => {
+                let (side, n_logs) =
+                    Self::read_log_side_channels(buf, pos, idx, h.mode, prior.side.as_ref())?;
+                (n_logs, h.eb.ln_1p(), Some(side))
+            }
+            other => {
+                return Err(CompressError::Corrupt(format!(
+                    "unknown transform tag {other}"
+                )))
+            }
+        };
+        for (order, codes) in [(1, &prior.codes1), (2, &prior.codes2)] {
+            if h.mode.prior_snapshots() >= order && codes.len() != code_n {
+                return Err(CompressError::Corrupt(format!(
+                    "chain link {idx}: order-{order} delta over {code_n} codes, prior has {}",
+                    codes.len()
+                )));
+            }
+        }
+        Ok(LinkHead {
+            n: h.n,
+            mode: h.mode,
+            code_n,
+            abs_eb,
+            side,
+        })
+    }
+
+    /// Huffman-decodes one block's symbols into `syms` (cleared first) and
+    /// checks that there are `block_n` of them.
+    fn read_block_syms(
+        block: &[u8],
+        pos: &mut usize,
+        block_n: usize,
+        syms: &mut Vec<u32>,
+    ) -> Result<()> {
+        huffman::decode_block_into(block, pos, syms)?;
+        if syms.len() != block_n {
+            return Err(CompressError::Corrupt(format!(
+                "expected {block_n} quantization codes, found {}",
+                syms.len()
             )));
         }
         Ok(())
     }
 
+    /// Turns one block's decoded symbols into its quantization codes,
+    /// appended to `out`: a copy for an anchor, otherwise the inverse
+    /// delta against the block's slices of the prior links' codes.
+    fn undelta(
+        mode: DeltaMode,
+        syms: &[u32],
+        prior: &ChainPrior,
+        start: usize,
+        out: &mut Vec<u32>,
+    ) {
+        let r = start..start + syms.len();
+        match mode {
+            DeltaMode::None => out.extend_from_slice(syms),
+            DeltaMode::Order1 => delta::decode_order1(syms, &prior.codes1[r], out),
+            DeltaMode::Order2 => {
+                delta::decode_order2(syms, &prior.codes1[r.clone()], &prior.codes2[r], out)
+            }
+        }
+    }
+
     /// Replays one intermediate chain link to its quantization codes and
     /// unpredictable values (Huffman decode + un-delta; the values are
     /// materialized because the next link's XOR tail codes against them).
-    #[allow(clippy::too_many_arguments)]
     fn decode_codes(
         buf: &[u8],
         pos: &mut usize,
         code_n: usize,
         mode: DeltaMode,
-        prev1: &[u32],
-        prev2: &[u32],
-        prev_unpred: &[f64],
+        prior: &ChainPrior,
     ) -> Result<(Vec<u32>, Vec<f64>)> {
-        let offsets = (mode != DeltaMode::None).then(|| Self::unpred_offsets(prev1));
+        let offsets = (mode != DeltaMode::None).then(|| Self::unpred_offsets(&prior.codes1));
         parblock::decode_blocks2(buf, pos, code_n.div_ceil(PAR_BLOCK), code_n, "SZ", |b, block| {
             let start = b * PAR_BLOCK;
-            let block_n = (((b + 1) * PAR_BLOCK).min(code_n)) - start;
+            let block_n = ((b + 1) * PAR_BLOCK).min(code_n) - start;
+            let bpos = &mut 0usize;
+            let mut codes = Vec::with_capacity(block_n);
             QUANT_SCRATCH.with(|q| {
                 let syms = &mut q.borrow_mut();
-                let bpos = &mut 0usize;
-                huffman::decode_block_into(block, bpos, syms)?;
-                if syms.len() != block_n {
-                    return Err(CompressError::Corrupt(format!(
-                        "expected {block_n} quantization codes, found {}",
-                        syms.len()
-                    )));
-                }
-                let mut codes = Vec::with_capacity(block_n);
-                match mode {
-                    DeltaMode::None => codes.extend_from_slice(syms),
-                    DeltaMode::Order1 => {
-                        delta::decode_order1(syms, &prev1[start..start + block_n], &mut codes)
-                    }
-                    DeltaMode::Order2 => delta::decode_order2(
-                        syms,
-                        &prev1[start..start + block_n],
-                        &prev2[start..start + block_n],
-                        &mut codes,
-                    ),
-                }
-                let unpred = match &offsets {
-                    None => Self::read_unpred_verbatim(block, bpos)?,
-                    Some(offs) => Self::read_unpred_delta(
-                        block,
-                        bpos,
-                        &codes,
-                        &prev1[start..start + block_n],
-                        &prev_unpred[offs[b]..offs[b + 1]],
-                    )?,
-                };
-                Ok((codes, unpred))
-            })
+                Self::read_block_syms(block, bpos, block_n, syms)?;
+                Self::undelta(mode, syms, prior, start, &mut codes);
+                Ok::<_, CompressError>(())
+            })?;
+            let unpred = match &offsets {
+                None => f64s(Self::unpred_verbatim(block, bpos)?).collect(),
+                Some(offs) => Self::read_unpred_delta(
+                    block,
+                    bpos,
+                    &codes,
+                    &prior.codes1[start..start + block_n],
+                    &prior.unpred[offs[b]..offs[b + 1]],
+                )?,
+            };
+            Ok((codes, unpred))
         })
     }
 
-    /// Decodes the final chain link to values: Huffman symbols, un-delta
-    /// to the snapshot's own v4 codes, un-XOR of the delta tail, then the
-    /// shared grid-space reconstruction.
-    #[allow(clippy::too_many_arguments)]
-    fn decode_final_abs(
+    /// Decodes the final chain link to values.  An anchor reconstructs
+    /// straight from its decoded symbols and verbatim tail; a delta link
+    /// first un-deltas its symbols and un-XORs its tail against the prior
+    /// link.
+    fn decode_final(
         buf: &[u8],
         pos: &mut usize,
         n: usize,
         abs_eb: f64,
         mode: DeltaMode,
-        prev1: &[u32],
-        prev2: &[u32],
-        prev_unpred: &[f64],
+        prior: &ChainPrior,
     ) -> Result<Vec<f64>> {
-        let offsets = (mode != DeltaMode::None).then(|| Self::unpred_offsets(prev1));
+        let offsets = (mode != DeltaMode::None).then(|| Self::unpred_offsets(&prior.codes1));
         parblock::decode_blocks(buf, pos, n.div_ceil(PAR_BLOCK), n, "SZ", |b, block| {
             let start = b * PAR_BLOCK;
-            let block_n = (((b + 1) * PAR_BLOCK).min(n)) - start;
+            let block_n = ((b + 1) * PAR_BLOCK).min(n) - start;
+            let bpos = &mut 0usize;
             QUANT_SCRATCH.with(|q| {
                 let syms = &mut q.borrow_mut();
-                let bpos = &mut 0usize;
-                huffman::decode_block_into(block, bpos, syms)?;
-                if syms.len() != block_n {
-                    return Err(CompressError::Corrupt(format!(
-                        "expected {block_n} quantization codes, found {}",
-                        syms.len()
-                    )));
-                }
-                let mut codes = Vec::with_capacity(block_n);
-                match mode {
-                    DeltaMode::None => codes.extend_from_slice(syms),
-                    DeltaMode::Order1 => {
-                        delta::decode_order1(syms, &prev1[start..start + block_n], &mut codes)
-                    }
-                    DeltaMode::Order2 => delta::decode_order2(
-                        syms,
-                        &prev1[start..start + block_n],
-                        &prev2[start..start + block_n],
-                        &mut codes,
-                    ),
-                }
+                Self::read_block_syms(block, bpos, block_n, syms)?;
                 match &offsets {
                     None => {
-                        let n_unpred = bytes::get_varint(block, bpos)? as usize;
-                        let unpred_len = n_unpred.checked_mul(8).ok_or_else(|| {
-                            CompressError::Corrupt("unpredictable count overflow".into())
-                        })?;
-                        let unpred_bytes = bytes::get_slice(block, bpos, unpred_len)?;
-                        Self::reconstruct_block_v4(&codes, unpred_bytes, abs_eb)
+                        let tail = Self::unpred_verbatim(block, bpos)?;
+                        Self::reconstruct_block_from(syms, &mut f64s(tail), abs_eb)
                     }
                     Some(offs) => {
+                        let mut codes = Vec::with_capacity(block_n);
+                        Self::undelta(mode, syms, prior, start, &mut codes);
                         let unpred = Self::read_unpred_delta(
                             block,
                             bpos,
                             &codes,
-                            &prev1[start..start + block_n],
-                            &prev_unpred[offs[b]..offs[b + 1]],
+                            &prior.codes1[start..start + block_n],
+                            &prior.unpred[offs[b]..offs[b + 1]],
                         )?;
-                        let mut it = unpred.iter().copied();
-                        Self::reconstruct_block_from(&codes, &mut it, abs_eb)
+                        Self::reconstruct_block_from(&codes, &mut unpred.iter().copied(), abs_eb)
                     }
                 }
             })
         })
     }
 
-    /// Reads a block's verbatim-value tail into owned values
-    /// (bounds-checked).
-    fn read_unpred_verbatim(block: &[u8], pos: &mut usize) -> Result<Vec<f64>> {
+    /// Reads a block's verbatim-value tail (`varint n_unpred` + raw f64s)
+    /// as its raw bytes, bounds-checked.
+    fn unpred_verbatim<'a>(block: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
         let n_unpred = bytes::get_varint(block, pos)? as usize;
         let len = n_unpred
             .checked_mul(8)
             .ok_or_else(|| CompressError::Corrupt("unpredictable count overflow".into()))?;
-        let unpred_bytes = bytes::get_slice(block, pos, len)?;
-        Ok(unpred_bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect())
+        bytes::get_slice(block, pos, len)
     }
 
     /// Per-block offsets into a snapshot's unpredictable values: entry
@@ -1496,13 +1183,44 @@ impl SzCompressor {
     }
 }
 
-/// Parsed common stream prologue.
+/// Parsed stream prologue.
 struct StreamHeader {
-    version: u8,
     n: usize,
     transform: u8,
     eb: f64,
     mode: DeltaMode,
+}
+
+/// One chain link's parsed header and point-wise-relative side channels.
+struct LinkHead<'a> {
+    /// Element count of the snapshot.
+    n: usize,
+    mode: DeltaMode,
+    /// Length of the coded sub-stream (the log magnitudes of a
+    /// point-wise-relative stream).
+    code_n: usize,
+    /// Absolute bound of the coded sub-stream.
+    abs_eb: f64,
+    side: Option<Bitmaps<'a>>,
+}
+
+/// Zero / sign bitmaps of a point-wise-relative stream, borrowed from the
+/// link or from the previous log link it inherits them from.
+type Bitmaps<'a> = (Cow<'a, [u8]>, Cow<'a, [u8]>);
+
+/// What a chain replay carries from one link to the next.
+#[derive(Default)]
+struct ChainPrior {
+    /// The previous link's quantization codes.
+    codes1: Vec<u32>,
+    /// The codes of the link before that (order-2 extrapolation).
+    codes2: Vec<u32>,
+    /// The previous link's unpredictable values, one per reserved bin in
+    /// `codes1`: the base the next delta link's XOR tail codes against.
+    unpred: Vec<f64>,
+    /// The previous log link's zero / sign bitmaps, which a delta link
+    /// may inherit instead of carrying its own.
+    side: Option<(Vec<u8>, Vec<u8>)>,
 }
 
 /// Identity of the coded sub-stream a retained code buffer belongs to; a
@@ -1571,7 +1289,7 @@ impl SzTemporalState {
 }
 
 /// Reads the [`DeltaMode`] of an SZ stream from its header without
-/// decoding the payload (pre-v5 streams report [`DeltaMode::None`]).
+/// decoding the payload.
 pub fn stream_delta_mode(stream: &[u8]) -> Result<DeltaMode> {
     let mut pos = 0usize;
     SzCompressor::parse_header(stream, &mut pos).map(|h| h.mode)
@@ -1603,52 +1321,32 @@ fn scatter_hist(syms: &[u32], lo: u32, hi: u32, hist: &mut [u32]) {
 impl LossyCompressor for SzCompressor {
     fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Compressed> {
         let mut out = Vec::new();
-        self.compress_to(data, bound, &mut out)?;
+        self.compress_into(data, bound, &mut out)?;
         Ok(Compressed {
             bytes: out,
             n_elements: data.len(),
         })
     }
 
+    /// Appends an anchor: the temporal writer with no retained state and
+    /// the anchor forced, so the stateless stream is byte-identical to
+    /// the first link of a chain.
     fn compress_into(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<usize> {
-        self.compress_to(data, bound, out)?;
+        self.compress_temporal_into(
+            data,
+            bound,
+            DeltaMode::None,
+            true,
+            &mut SzTemporalState::default(),
+            out,
+        )?;
         Ok(data.len())
     }
 
+    /// Decodes an anchor as a one-link chain; delta streams are rejected
+    /// (they decode through [`SzCompressor::decompress_chain`]).
     fn decompress(&self, compressed: &Compressed) -> Result<Vec<f64>> {
-        let buf = &compressed.bytes;
-        let mut pos = 0usize;
-        let h = SzCompressor::parse_header(buf, &mut pos)?;
-        if h.mode != DeltaMode::None {
-            return Err(CompressError::Corrupt(format!(
-                "version-5 {:?} delta stream needs its chain; decode via decompress_chain",
-                h.mode
-            )));
-        }
-        if h.n != compressed.n_elements {
-            return Err(CompressError::Corrupt(format!(
-                "element count mismatch: header {}, metadata {}",
-                h.n, compressed.n_elements
-            )));
-        }
-
-        match h.transform {
-            t if t == Transform::Identity as u8 => {
-                SzCompressor::decompress_abs(buf, &mut pos, h.n, h.eb, h.version)
-            }
-            t if t == Transform::Log as u8 => {
-                // The side channels are decoded straight from the borrowed
-                // stream slices — no intermediate copies.
-                let (zero_bytes, sign_bytes, n_logs) =
-                    SzCompressor::read_log_side_channels(buf, &mut pos)?;
-                let log_eb = h.eb.ln_1p();
-                let logs = SzCompressor::decompress_abs(buf, &mut pos, n_logs, log_eb, h.version)?;
-                SzCompressor::expand_log(zero_bytes, sign_bytes, logs, h.n)
-            }
-            other => Err(CompressError::Corrupt(format!(
-                "unknown transform tag {other}"
-            ))),
-        }
+        self.decompress_chain(std::slice::from_ref(compressed))
     }
 
     fn name(&self) -> &'static str {
@@ -1656,128 +1354,11 @@ impl LossyCompressor for SzCompressor {
     }
 }
 
-/// Legacy stream writers kept so the backwards-compatibility tests can
-/// fabricate version-3 streams exactly as earlier releases wrote them.
-#[doc(hidden)]
-pub mod legacy {
-    use super::*;
-
-    /// The v3 reconstruct-then-predict quantizer, byte-identical to the
-    /// encoder that shipped with stream version 3.
-    fn quantize_block_v3(values: &[f64], abs_eb: f64, quant: &mut Vec<u32>, unpred: &mut Vec<f64>) {
-        let two_eb = 2.0 * abs_eb;
-        let mut prev = 0.0f64;
-        let mut prev2 = 0.0f64;
-        for (i, &x) in values.iter().enumerate() {
-            let pred = match i {
-                0 => 0.0,
-                1 => prev,
-                _ => 2.0 * prev - prev2,
-            };
-            let diff = x - pred;
-            let bin = (diff / two_eb).round();
-            let reconstructed = pred + bin * two_eb;
-            let in_range = bin.abs() < (QUANT_RADIUS as f64);
-            let accurate = (x - reconstructed).abs() <= abs_eb;
-            if in_range && accurate {
-                quant.push((bin as i64 + QUANT_RADIUS) as u32 + 1);
-                prev2 = prev;
-                prev = reconstructed;
-            } else {
-                quant.push(0);
-                unpred.push(x);
-                prev2 = prev;
-                prev = x;
-            }
-        }
-    }
-
-    /// Version-3 equivalent of [`SzCompressor::encode_block_abs`].
-    fn encode_block_abs_v3(values: &[f64], abs_eb: f64) -> Vec<u8> {
-        let mut quant = Vec::new();
-        let mut unpred = Vec::new();
-        quantize_block_v3(values, abs_eb, &mut quant, &mut unpred);
-        let mut out = Vec::with_capacity(values.len() / 2 + 32);
-        let huff = huffman::encode_block_legacy(&quant);
-        bytes::put_u64(&mut out, huff.len() as u64);
-        out.extend_from_slice(&huff);
-        bytes::put_u64(&mut out, unpred.len() as u64);
-        for v in &unpred {
-            bytes::put_f64(&mut out, *v);
-        }
-        out
-    }
-
-    fn compress_abs_v3(values: &[f64], abs_eb: f64, out: &mut Vec<u8>) {
-        let n = values.len();
-        parblock::encode_blocks(out, n.div_ceil(PAR_BLOCK), |b| {
-            let start = b * PAR_BLOCK;
-            let end = ((b + 1) * PAR_BLOCK).min(n);
-            encode_block_abs_v3(&values[start..end], abs_eb)
-        });
-    }
-
-    /// Compresses `data` into a version-3 stream, byte-identical to what
-    /// the previous release's `SzCompressor::compress` produced.
-    pub fn compress_v3(data: &[f64], bound: ErrorBound) -> Result<Compressed> {
-        let eb = bound.value();
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(CompressError::InvalidBound(eb));
-        }
-        let mut out = Vec::new();
-        out.push(CODEC_ID);
-        out.push(3u8);
-        bytes::put_u64(&mut out, data.len() as u64);
-        match bound {
-            ErrorBound::Abs(abs) => {
-                out.push(Transform::Identity as u8);
-                bytes::put_f64(&mut out, abs);
-                compress_abs_v3(data, abs, &mut out);
-            }
-            ErrorBound::ValueRangeRel(rel) => {
-                let (min, max) = min_max(data);
-                let range = (max - min).abs();
-                let abs = if range > 0.0 {
-                    rel * range
-                } else {
-                    rel.max(f64::MIN_POSITIVE)
-                };
-                out.push(Transform::Identity as u8);
-                bytes::put_f64(&mut out, abs);
-                compress_abs_v3(data, abs, &mut out);
-            }
-            ErrorBound::PointwiseRel(rel) => {
-                out.push(Transform::Log as u8);
-                let log_eb = rel.ln_1p();
-                if !(log_eb.is_finite() && log_eb > 0.0) {
-                    return Err(CompressError::InvalidBound(rel));
-                }
-                bytes::put_f64(&mut out, rel);
-                let mut signs = BitWriter::new();
-                let mut zeros = BitWriter::new();
-                let mut logs: Vec<f64> = Vec::with_capacity(data.len());
-                for &x in data {
-                    zeros.write_bit(x == 0.0);
-                    signs.write_bit(x.is_sign_negative());
-                    if x != 0.0 {
-                        logs.push(x.abs().ln());
-                    }
-                }
-                let zero_bytes = zeros.into_bytes();
-                let sign_bytes = signs.into_bytes();
-                bytes::put_u64(&mut out, zero_bytes.len() as u64);
-                out.extend_from_slice(&zero_bytes);
-                bytes::put_u64(&mut out, sign_bytes.len() as u64);
-                out.extend_from_slice(&sign_bytes);
-                bytes::put_u64(&mut out, logs.len() as u64);
-                compress_abs_v3(&logs, log_eb, &mut out);
-            }
-        }
-        Ok(Compressed {
-            bytes: out,
-            n_elements: data.len(),
-        })
-    }
+/// The little-endian `f64`s packed in `bytes` (a multiple of 8 long).
+fn f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
 }
 
 /// 8-lane min/max over one slice.  A single `(min, max)` accumulator pair
@@ -1975,39 +1556,6 @@ mod tests {
     }
 
     #[test]
-    fn v3_streams_still_decode() {
-        let mut data = smooth_signal(3_000);
-        for (i, v) in data.iter_mut().enumerate() {
-            if i % 113 == 0 {
-                *v = 0.0;
-            }
-            if i % 7 == 0 {
-                *v = -*v;
-            }
-        }
-        let sz = SzCompressor::new();
-        for bound in [
-            ErrorBound::Abs(1e-6),
-            ErrorBound::ValueRangeRel(1e-5),
-            ErrorBound::PointwiseRel(1e-4),
-        ] {
-            let v3 = legacy::compress_v3(&data, bound).unwrap();
-            assert_eq!(v3.bytes[1], 3, "legacy writer must emit version 3");
-            let from_v3 = sz.decompress(&v3).unwrap();
-            check_bound(&data, &from_v3, bound);
-
-            // The current writer emits v4, which honours the same bound
-            // (the v4 grid-space reconstruction is a different — equally
-            // valid — point inside the bound, so only the contract is
-            // compared, not the bits).
-            let v4 = sz.compress(&data, bound).unwrap();
-            assert_eq!(v4.bytes[1], 4);
-            let from_v4 = sz.decompress(&v4).unwrap();
-            check_bound(&data, &from_v4, bound);
-        }
-    }
-
-    #[test]
     fn invalid_bounds_rejected() {
         let sz = SzCompressor::new();
         let data = [1.0, 2.0];
@@ -2083,7 +1631,7 @@ mod tests {
     }
 
     #[test]
-    fn temporal_anchor_decodes_like_v4() {
+    fn stateless_stream_is_the_forced_anchor() {
         let data = smooth_signal(10_000);
         let sz = SzCompressor::new();
         let bound = ErrorBound::Abs(1e-6);
@@ -2093,17 +1641,10 @@ mod tests {
             .compress_temporal_into(&data, bound, DeltaMode::Order1, true, &mut state, &mut bytes)
             .unwrap();
         assert_eq!(mode, DeltaMode::None, "forced anchor must be direct");
-        assert_eq!(bytes[1], 5, "temporal streams carry version 5");
+        assert_eq!(bytes[1], VERSION);
         assert_eq!(stream_delta_mode(&bytes).unwrap(), DeltaMode::None);
-        let anchor = Compressed {
-            bytes,
-            n_elements: data.len(),
-        };
-        // A v5 anchor is self-contained and decodes bit-identically to
-        // the plain v4 stream of the same data.
-        let via_v5 = sz.decompress(&anchor).unwrap();
-        let via_v4 = sz.decompress(&sz.compress(&data, bound).unwrap()).unwrap();
-        assert_eq!(via_v5, via_v4);
+        // The stateless writer is the one-link case of the temporal one.
+        assert_eq!(sz.compress(&data, bound).unwrap().bytes, bytes);
     }
 
     #[test]

@@ -20,17 +20,18 @@
 //! compressor (verified by property tests), though with lower compression
 //! ratios on 1-D data — which is exactly the paper's observation.
 //!
-//! ## Stream versions
+//! ## Stream format (version 3)
 //!
-//! | version | block layout                                                  |
-//! |---------|---------------------------------------------------------------|
-//! | 2       | flag bit, exponent, dropped planes, then per-coefficient 7-bit length + payload (decode-only) |
-//! | 3       | one 51-bit header (flag, exponent, dropped planes, all four 7-bit lengths), then the four payloads (current) |
+//! ```text
+//! [u8 codec = 2][u8 version = 3][u64 n][f64 abs bound]
+//! [u64 ngroups][u64 len × ngroups][groups …]
+//! ```
 //!
-//! Version 3 re-packs the same bits so a block header is a single
-//! word-buffered read/write instead of eleven bit-level operations; the
-//! size of the encoded stream is unchanged, and version-2 streams remain
-//! decodable.
+//! Each group is one bit stream of 4-value blocks: an all-zero block is a
+//! single 0 bit; any other block is one 51-bit header (flag, 16-bit
+//! exponent, 6-bit dropped planes, four 7-bit coefficient lengths) followed
+//! by the four coefficient payloads.  Version 3 is the only version
+//! written or read.
 
 use crate::bitstream::{bytes, BitReader, BitWriter};
 use crate::parblock;
@@ -38,10 +39,8 @@ use crate::{CompressError, Compressed, ErrorBound, LossyCompressor, Result};
 
 /// Codec id stored in the stream header.
 const CODEC_ID: u8 = 2;
-/// Stream-format version written by the compressor.
+/// The stream-format version, the only one written or read.
 const VERSION: u8 = 3;
-/// Oldest stream version the decompressor still reads.
-const MIN_VERSION: u8 = 2;
 /// Block size (ZFP uses 4^d; d = 1 here).
 const BLOCK: usize = 4;
 /// Number of fraction bits in the block fixed-point representation.
@@ -105,7 +104,7 @@ impl ZfpCompressor {
     }
 
     /// Fixed-point conversion + forward transform + plane-drop selection
-    /// shared by both stream versions.  Returns `None` for an all-zero
+    /// of one block.  Returns `None` for an all-zero
     /// block, otherwise the exponent, dropped planes, and the four
     /// zig-zag-coded truncated coefficients with their bit lengths.
     #[allow(clippy::type_complexity)]
@@ -158,7 +157,7 @@ impl ZfpCompressor {
         Some((exp, dropped_planes, coeffs))
     }
 
-    /// Encodes one block of up to 4 values in the version-3 layout: the
+    /// Encodes one block of up to 4 values: the
     /// flag, exponent, dropped planes and all four coefficient lengths are
     /// packed into one 51-bit header write, followed by the payloads.
     fn encode_block(block: &[f64], abs_eb: f64, writer: &mut BitWriter) {
@@ -199,7 +198,7 @@ impl ZfpCompressor {
         }
     }
 
-    /// Decodes one version-3 block of `len` values.
+    /// Decodes one block of `len` values.
     fn decode_block(reader: &mut BitReader<'_>, len: usize, out: &mut Vec<f64>) -> Result<()> {
         let nonzero = reader.read_bit()?;
         if !nonzero {
@@ -212,29 +211,6 @@ impl ZfpCompressor {
         let mut ints = [0i64; BLOCK];
         for (i, slot) in ints.iter_mut().enumerate() {
             let nbits = ((header >> (21 - 7 * i)) & 0x7F) as u8;
-            if nbits > 64 {
-                return Err(CompressError::Corrupt("invalid coefficient length".into()));
-            }
-            let zig = if nbits == 0 { 0 } else { reader.read_bits(nbits)? };
-            *slot = ((zig >> 1) as i64) ^ -((zig & 1) as i64);
-        }
-        Self::emit_block(ints, exp, dropped_planes, len, out);
-        Ok(())
-    }
-
-    /// Decodes one legacy version-2 block of `len` values (per-coefficient
-    /// length prefixes).
-    fn decode_block_v2(reader: &mut BitReader<'_>, len: usize, out: &mut Vec<f64>) -> Result<()> {
-        let nonzero = reader.read_bit()?;
-        if !nonzero {
-            out.extend(std::iter::repeat_n(0.0, len));
-            return Ok(());
-        }
-        let exp = reader.read_bits(16)? as i16 as i32;
-        let dropped_planes = reader.read_bits(6)? as u8;
-        let mut ints = [0i64; BLOCK];
-        for slot in ints.iter_mut() {
-            let nbits = reader.read_bits(7)? as u8;
             if nbits > 64 {
                 return Err(CompressError::Corrupt("invalid coefficient length".into()));
             }
@@ -338,7 +314,7 @@ impl LossyCompressor for ZfpCompressor {
             });
         }
         let version = bytes::get_slice(buf, &mut pos, 1)?[0];
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(CompressError::Corrupt(format!(
                 "unsupported ZFP stream version {version}"
             )));
@@ -355,11 +331,7 @@ impl LossyCompressor for ZfpCompressor {
             let mut remaining = group_n;
             while remaining > 0 {
                 let len = remaining.min(BLOCK);
-                if version >= 3 {
-                    Self::decode_block(&mut reader, len, &mut vals)?;
-                } else {
-                    Self::decode_block_v2(&mut reader, len, &mut vals)?;
-                }
+                Self::decode_block(&mut reader, len, &mut vals)?;
                 remaining -= len;
             }
             Ok(vals)
@@ -368,59 +340,6 @@ impl LossyCompressor for ZfpCompressor {
 
     fn name(&self) -> &'static str {
         "zfp"
-    }
-}
-
-/// Legacy stream writer kept so the backwards-compatibility tests can
-/// fabricate version-2 streams exactly as earlier releases wrote them.
-#[doc(hidden)]
-pub mod legacy {
-    use super::*;
-
-    fn encode_block_v2(block: &[f64], abs_eb: f64, writer: &mut BitWriter) {
-        let Some((exp, dropped_planes, coeffs)) = ZfpCompressor::transform_block(block, abs_eb)
-        else {
-            writer.write_bit(false);
-            return;
-        };
-        writer.write_bit(true);
-        writer.write_bits(exp as u64 & 0xFFFF, 16);
-        writer.write_bits(u64::from(dropped_planes), 6);
-        for &(zig, nbits) in &coeffs {
-            writer.write_bits(u64::from(nbits), 7);
-            if nbits > 0 {
-                writer.write_bits(zig, nbits);
-            }
-        }
-    }
-
-    /// Compresses `data` into a version-2 stream, byte-identical to what
-    /// the previous release's `ZfpCompressor::compress` produced.
-    pub fn compress_v2(data: &[f64], bound: ErrorBound) -> Result<Compressed> {
-        let eb = bound.value();
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(CompressError::InvalidBound(eb));
-        }
-        let abs_eb = ZfpCompressor::resolve_abs_bound(data, bound);
-        let mut out = Vec::with_capacity(data.len() * 4 + 64);
-        out.push(CODEC_ID);
-        out.push(2u8);
-        bytes::put_u64(&mut out, data.len() as u64);
-        bytes::put_f64(&mut out, abs_eb);
-        let n = data.len();
-        parblock::encode_blocks(&mut out, n.div_ceil(GROUP_ELEMS), |g| {
-            let start = g * GROUP_ELEMS;
-            let end = ((g + 1) * GROUP_ELEMS).min(n);
-            let mut writer = BitWriter::new();
-            for block in data[start..end].chunks(BLOCK) {
-                encode_block_v2(block, abs_eb, &mut writer);
-            }
-            writer.into_bytes()
-        });
-        Ok(Compressed {
-            bytes: out,
-            n_elements: data.len(),
-        })
     }
 }
 
@@ -529,28 +448,6 @@ mod tests {
         let c = zfp.compress(&data, ErrorBound::Abs(1e-7)).unwrap();
         let r = zfp.decompress(&c).unwrap();
         check_abs_bound(&data, &r, 1e-7);
-    }
-
-    #[test]
-    fn v2_streams_still_decode() {
-        let data = smooth_signal(3_000);
-        let zfp = ZfpCompressor::new();
-        for eb in [1e-3, 1e-7] {
-            let v2 = legacy::compress_v2(&data, ErrorBound::Abs(eb)).unwrap();
-            assert_eq!(v2.bytes[1], 2, "legacy writer must emit version 2");
-            let from_v2 = zfp.decompress(&v2).unwrap();
-            check_abs_bound(&data, &from_v2, eb);
-
-            // v3 re-packs the same bits, so both versions carry identical
-            // payload sizes and reconstruct bit-identical values.
-            let v3 = zfp.compress(&data, ErrorBound::Abs(eb)).unwrap();
-            assert_eq!(v3.bytes[1], 3);
-            assert_eq!(v2.bytes.len(), v3.bytes.len());
-            let from_v3 = zfp.decompress(&v3).unwrap();
-            let bits2: Vec<u64> = from_v2.iter().map(|v| v.to_bits()).collect();
-            let bits3: Vec<u64> = from_v3.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits2, bits3);
-        }
     }
 
     #[test]

@@ -144,13 +144,13 @@ proptest! {
         data in prop::collection::vec(-1.0e3f64..1.0e3, 1..300),
         cut_frac in 0.0f64..1.0,
     ) {
-        // Both current (v4) and legacy (v3) streams: any proper prefix must
-        // produce CompressError::Corrupt — never a panic, never a huge
-        // allocation from a truncated length field.
+        // Both transforms (direct and point-wise-relative log): any proper
+        // prefix must produce CompressError::Corrupt — never a panic, never
+        // a huge allocation from a truncated length field.
         let sz = SzCompressor::new();
         for compressed in [
             sz.compress(&data, ErrorBound::Abs(1e-6)).unwrap(),
-            lcr_compress::sz::legacy::compress_v3(&data, ErrorBound::Abs(1e-6)).unwrap(),
+            sz.compress(&data, ErrorBound::PointwiseRel(1e-4)).unwrap(),
         ] {
             let cut = ((compressed.bytes.len() as f64 * cut_frac) as usize)
                 .min(compressed.bytes.len() - 1);
@@ -174,7 +174,7 @@ proptest! {
         let sz = SzCompressor::new();
         for mut compressed in [
             sz.compress(&data, ErrorBound::Abs(1e-6)).unwrap(),
-            lcr_compress::sz::legacy::compress_v3(&data, ErrorBound::Abs(1e-6)).unwrap(),
+            sz.compress(&data, ErrorBound::PointwiseRel(1e-4)).unwrap(),
         ] {
             let pos = ((compressed.bytes.len() as f64 * flip_frac) as usize)
                 .min(compressed.bytes.len() - 1);
@@ -209,116 +209,15 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let zfp = ZfpCompressor::new();
-        for compressed in [
-            zfp.compress(&data, ErrorBound::Abs(1e-4)).unwrap(),
-            lcr_compress::zfp::legacy::compress_v2(&data, ErrorBound::Abs(1e-4)).unwrap(),
-        ] {
-            let cut = ((compressed.bytes.len() as f64 * cut_frac) as usize)
-                .min(compressed.bytes.len() - 1);
-            let truncated = lcr_compress::Compressed {
-                bytes: compressed.bytes[..cut].to_vec(),
-                n_elements: compressed.n_elements,
-            };
-            prop_assert!(zfp.decompress(&truncated).is_err());
-        }
+        let compressed = zfp.compress(&data, ErrorBound::Abs(1e-4)).unwrap();
+        let cut = ((compressed.bytes.len() as f64 * cut_frac) as usize)
+            .min(compressed.bytes.len() - 1);
+        let truncated = lcr_compress::Compressed {
+            bytes: compressed.bytes[..cut].to_vec(),
+            n_elements: compressed.n_elements,
+        };
+        prop_assert!(zfp.decompress(&truncated).is_err());
     }
-
-    // ---- stream-version compatibility -------------------------------------
-
-    #[test]
-    fn sz_v3_streams_still_decode_within_bound(data in data_strategy(), exp in -8i32..-2) {
-        let eb = 10f64.powi(exp);
-        let sz = SzCompressor::new();
-        for bound in [
-            ErrorBound::Abs(eb),
-            ErrorBound::PointwiseRel(eb),
-            ErrorBound::ValueRangeRel(eb),
-        ] {
-            let v3 = lcr_compress::sz::legacy::compress_v3(&data, bound).unwrap();
-            let restored = sz.decompress(&v3).unwrap();
-            check_bound(&data, &restored, bound);
-        }
-    }
-
-    #[test]
-    fn zfp_v2_streams_decode_bit_identically_to_v3(
-        data in prop::collection::vec(-1.0e3f64..1.0e3, 0..400),
-        exp in -6i32..-1,
-    ) {
-        // ZFP v3 re-packs the identical bits, so both stream versions must
-        // reconstruct the exact same values.
-        let eb = 10f64.powi(exp);
-        let zfp = ZfpCompressor::new();
-        let v2 = lcr_compress::zfp::legacy::compress_v2(&data, ErrorBound::Abs(eb)).unwrap();
-        let v3 = zfp.compress(&data, ErrorBound::Abs(eb)).unwrap();
-        let from_v2 = zfp.decompress(&v2).unwrap();
-        let from_v3 = zfp.decompress(&v3).unwrap();
-        prop_assert_eq!(from_v2.len(), from_v3.len());
-        for (a, b) in from_v2.iter().zip(from_v3.iter()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-}
-
-/// Golden version-3 stream written before the v4 format change: it must
-/// keep decoding to the exact same bits forever.  The stream is
-/// `compress_v3((sin wave of 24 values), Abs(1e-4))` as the pre-v4 encoder
-/// produced it, and the expected output is what the pre-v4 decoder
-/// reconstructed.
-#[test]
-fn golden_v3_stream_roundtrips_byte_identically() {
-    const STREAM: [u8; 158] = [
-        1, 3, 24, 0, 0, 0, 0, 0, 0, 0, 0, 45, 67, 28, 235, 226, 54, 26, 63, 1, 0, 0, 0, 0, 0,
-        0, 0, 123, 0, 0, 0, 0, 0, 0, 0, 107, 0, 0, 0, 0, 0, 0, 0, 24, 0, 0, 0, 0, 0, 0, 0, 15,
-        0, 0, 0, 221, 131, 0, 0, 3, 3, 124, 0, 0, 4, 37, 124, 0, 0, 4, 141, 124, 0, 0, 4, 45,
-        125, 0, 0, 4, 2, 126, 0, 0, 4, 249, 126, 0, 0, 4, 1, 128, 0, 0, 4, 9, 129, 0, 0, 4, 0,
-        130, 0, 0, 4, 213, 130, 0, 0, 4, 117, 131, 0, 0, 4, 255, 131, 0, 0, 4, 43, 143, 0, 0,
-        4, 17, 167, 0, 0, 4, 12, 0, 0, 0, 0, 0, 0, 0, 254, 118, 84, 50, 52, 86, 120, 154, 188,
-        26, 50, 232, 0, 0, 0, 0, 0, 0, 0, 0,
-    ];
-    const EXPECTED_BITS: [u64; 24] = [
-        4611686018427387904,
-        4613434315802733131,
-        4615063718147915777,
-        4616326302303449096,
-        4616862906199050292,
-        4617200450991121712,
-        4617315517961601030,
-        4617200450991121716,
-        4616862906199050300,
-        4616326302303449108,
-        4615063718147915808,
-        4613434315802733168,
-        4611686018427387947,
-        4608189423676697548,
-        4602678819172647128,
-        13816784249434143285,
-        13826933561554387077,
-        13829633919890958404,
-        13830554455654792912,
-        13829633919890958361,
-        13826933561554386990,
-        13816784249434142236,
-        4602678819172647303,
-        4608189423676697658,
-    ];
-    let compressed = lcr_compress::Compressed {
-        bytes: STREAM.to_vec(),
-        n_elements: EXPECTED_BITS.len(),
-    };
-    let restored = SzCompressor::new().decompress(&compressed).unwrap();
-    let bits: Vec<u64> = restored.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(bits, EXPECTED_BITS);
-
-    // And the legacy writer still reproduces the stream byte for byte.
-    let data: Vec<f64> = (0..24)
-        .map(|i| {
-            let t = i as f64 / 24.0;
-            (std::f64::consts::TAU * t).sin() * 3.0 + 2.0
-        })
-        .collect();
-    let rewritten = lcr_compress::sz::legacy::compress_v3(&data, ErrorBound::Abs(1e-4)).unwrap();
-    assert_eq!(rewritten.bytes, STREAM.to_vec());
 }
 
 // ---- temporal delta chains (stream v5) ---------------------------------

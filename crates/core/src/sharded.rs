@@ -5,11 +5,11 @@
 //! This is the promotion of the paper's *simulated* cluster into a real
 //! one: [`run_sharded`] carves the global system into
 //! [`ShardedCsr`](lcr_sparse::ShardedCsr) views via
-//! [`partition_csr`](lcr_sparse::shard::partition_csr), spawns one scoped
+//! [`partition_csr`], spawns one scoped
 //! thread per shard, and services the reduction/barrier coordinator on the
 //! calling thread.  Each shard owns its solver state, its halo endpoints
 //! and — when checkpointing is enabled — its *own*
-//! [`DiskStore`](lcr_ckpt::DiskStore) under `ckpt_dir/shard-{k}/`, into
+//! [`DiskStore`] under `ckpt_dir/shard-{k}/`, into
 //! which it writes an SZ-compressed segment of its local solution slice.
 //!
 //! # Coordinated epoch commit

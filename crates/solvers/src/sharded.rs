@@ -211,28 +211,14 @@ impl<'a> Ctx<'a> {
 /// stopping rule is `‖r‖ ≤ rtol · ‖b‖` or `max_iterations`; both derive
 /// from reduced scalars, so every shard exits on the same iteration.
 ///
+/// # Errors
+/// Comm failures (peer death, stall timeouts, coordinator aborts,
+/// injected message drops) surface as a typed [`CommError`], so a
+/// supervisor can decide whether to retry, restart from a checkpoint, or
+/// fail the run.
+///
 /// # Panics
-/// Panics on dimension mismatch or any comm failure (see
-/// [`try_run_sharded`] for the fallible variant).
-pub fn run_sharded(
-    method: ShardedMethod,
-    mat: &ShardedCsr,
-    b_local: &[f64],
-    rtol: f64,
-    max_iterations: usize,
-    comm: &mut ShardComm,
-    hook: &mut dyn ShardHook,
-) -> ShardOutcome {
-    match try_run_sharded(method, mat, b_local, rtol, max_iterations, comm, hook) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("sharded solver comm failure: {e}"),
-    }
-}
-
-/// Fallible variant of [`run_sharded`]: comm failures (peer death, stall
-/// timeouts, coordinator aborts, injected message drops) surface as a
-/// typed [`CommError`] instead of a panic, so a supervisor can decide
-/// whether to retry, restart from a checkpoint, or fail the run.
+/// Panics if `b_local` does not match the shard's row count.
 pub fn try_run_sharded(
     method: ShardedMethod,
     mat: &ShardedCsr,

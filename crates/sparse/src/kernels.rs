@@ -16,11 +16,11 @@
 //! * vector kernels split `0..len` with the same formula the rayon shim's
 //!   iterator path uses (`len / DEFAULT_MIN_CHUNK`, clamped to
 //!   `MAX_CHUNKS`), and every chunk body is one of the
-//!   [`simd`](crate::simd) lane kernels (eight lane accumulators combined
+//!   [`simd`] lane kernels (eight lane accumulators combined
 //!   by a fixed pairwise tree), so e.g. the ‖r‖² returned by
 //!   [`axpy2_norm2`] is bit-identical to a separate `dot(r, r)` sweep;
 //! * SpMV-shaped kernels follow the matrix's precomputed
-//!   [`SpmvPlan`](crate::csr::SpmvPlan) row partition and its SELL-style
+//!   [`SpmvPlan`] row partition and its SELL-style
 //!   row blocks, which depend only on the matrix structure.
 //!
 //! Neither partition depends on the thread count, so every kernel is

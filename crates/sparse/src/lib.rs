@@ -4,7 +4,7 @@
 //! *"Improving Performance of Iterative Methods by Lossy Checkpointing"*
 //! (Tao et al., HPDC 2018).
 //!
-//! The crate provides everything the iterative solvers in [`lcr-solvers`]
+//! The crate provides everything the iterative solvers in `lcr-solvers`
 //! need to operate on the paper's workloads without any external numerical
 //! library:
 //!

@@ -4,7 +4,7 @@
 //!
 //! The paper's evaluation runs on 256–2,048 MPI ranks; this module makes
 //! that decomposition *real* inside one process.  [`ShardLayout`] extends
-//! [`BlockRowPartition`](crate::partition::BlockRowPartition) from a
+//! [`BlockRowPartition`] from a
 //! byte-accounting description into an executable layout: the global rows
 //! are grouped into fixed *reduction blocks* of [`REDUCE_BLOCK`] rows and
 //! whole blocks are dealt to shards, so every shard boundary is a block

@@ -386,7 +386,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specification for [`vec`]: an exact size or a half-open
+    /// Length specification for [`vec()`]: an exact size or a half-open
     /// range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
